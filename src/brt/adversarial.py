@@ -10,7 +10,6 @@ constructions, executed and re-checked rather than trusted.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, replace
 
@@ -21,6 +20,7 @@ from .structures import (
     empty_prefix,
     make_language,
 )
+from .trees import _digest
 
 SeqNode = tuple[int, ...]
 
@@ -40,11 +40,6 @@ def seq_colour(t: SeqNode) -> int:
         if w >= n:
             return w - n
     raise AssertionError("unreachable: full weight is >= length")
-
-
-def _digest(tag: tuple, bound: int) -> int:
-    h = hashlib.blake2b(repr(tag).encode(), digest_size=8)
-    return int.from_bytes(h.digest(), "big") % bound
 
 
 @dataclass(frozen=True)
@@ -191,7 +186,7 @@ class PersistentColouringContext:
         return PersistentColouringContext(prefix)
 
     def type_of(self, vertices) -> tuple:
-        return self.prefix.structure.induced(vertices).relations
+        return self.prefix.structure.type_on(vertices)
 
 
 def triple_colour_formula(s: tuple[int, ...], n: int) -> int:
@@ -313,10 +308,7 @@ def is_tree_like(prefix: GenericPrefix, f: dict[int, int], bound: int
     always relative to the bound.
     """
     structure = prefix.structure
-
-    def tp(vertices) -> tuple:
-        return structure.induced(vertices).relations
-
+    tp = structure.type_on
     dom = sorted(f)
     if any(f[a] >= f[b] for a, b in zip(dom, dom[1:])):
         raise ValueError("embedding data must be monotone")
@@ -324,19 +316,21 @@ def is_tree_like(prefix: GenericPrefix, f: dict[int, int], bound: int
     window = [v for v in dom if v < bound]
     for r in range(1, len(window) + 1):
         for xs in itertools.combinations(window, r):
-            for x in range(max(xs) + 1, min(bound, structure.size)):
+            xs_range = range(xs[-1] + 1, min(bound, structure.size))
+            if not xs_range:
+                continue
+            image = tuple(f[v] for v in xs)
+            init = tuple(range(f[xs[0]]))
+            pivots = [tp(init + (f[v],)) for v in xs]
+            # for each later domain vertex y: its type over the image, and
+            # over the initial segment below the least image
+            later = [(tp(image + (f[y],)), tp(init + (f[y],)))
+                     for y in dom if xs[-1] < y < bound]
+            for x in xs_range:
+                over_xs = tp(xs + (x,))
                 for i in range(len(xs)):
                     checked += 1
-                    ok = False
-                    for y in (v for v in dom if max(xs) < v < bound):
-                        image = tuple(f[v] for v in xs)
-                        cond1 = (tp(image + (f[y],)) == tp(xs + (x,)))
-                        init = tuple(range(f[xs[0]]))
-                        cond2 = (tp(init + (f[y],)) == tp(init + (f[xs[i]],)))
-                        if cond1 and cond2:
-                            ok = True
-                            break
-                    if not ok:
+                    if (over_xs, pivots[i]) not in later:
                         return TreeLikeVerdict("fail", (xs, i, x), checked)
     if checked == 0:
         return TreeLikeVerdict("inconclusive", None, 0)

@@ -27,6 +27,7 @@ from .errors import InfeasibleError
 from .reductions import decode_structure, encode_structure, strip_bad, unary_expand
 from .structures import GenericPrefix, enumerate_embeddings
 from .trees import (
+    DEFAULT_CAP,
     build_valuation_tree,
     full_tree_witness,
     level_nodes,
@@ -35,19 +36,26 @@ from .trees import (
 )
 from .valuation import count_level_nodes, signature_from_language
 
-DEFAULT_CAP = 10 ** 6
-
 
 @dataclass
 class Config:
     cap: int = DEFAULT_CAP
-    depth_cap: int = 64
     fmt: str = "json"
     seed: int = 0
 
     def __post_init__(self):
-        if self.cap <= 0 or self.depth_cap <= 0:
+        if self.cap <= 0:
             raise ValueError("caps must be positive")
+
+
+def _env_cap() -> int:
+    raw = os.environ.get("BRT_CAP")
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"BRT_CAP must be an integer, got {raw!r}") from None
 
 
 def _load(path: str) -> dict:
@@ -332,11 +340,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        cap = int(os.environ.get("BRT_CAP", DEFAULT_CAP))
     fmt = "dot" if getattr(args, "dot", False) else getattr(args, "output", "json")
     try:
+        cap = getattr(args, "cap", None)
+        if cap is None:
+            cap = _env_cap()
         cfg = Config(cap=cap, fmt=fmt, seed=getattr(args, "seed", 0))
         out = args.func(args, cfg)
     except InfeasibleError as exc:

@@ -199,10 +199,8 @@ def is_bad(m: EnumeratedStructure, vertices,
            family: tuple[EnumeratedStructure, ...]) -> bool:
     """Whether the structure induces a forbidden member on the vertex set."""
     vs = tuple(sorted(vertices))
-    for f in family:
-        if f.size == len(vs) and m.induced(vs).relations == f.relations:
-            return True
-    return False
+    members = [f.relations for f in family if f.size == len(vs)]
+    return bool(members) and m.type_on(vs) in members
 
 
 def copy_isomorphism_types(m: EnumeratedStructure,
@@ -219,9 +217,10 @@ def copy_isomorphism_types(m: EnumeratedStructure,
     g = strip_bad(m, family)
     seen: dict = {}
     for f in enumerate_embeddings(a, g):
-        induced = m.induced(f)
-        seen.setdefault(induced.canonical_key(), induced)
-    return [seen[key] for key in sorted(seen)]
+        tp = m.type_on(f)
+        if tp not in seen:
+            seen[tp] = m.induced(f)
+    return [seen[tp] for tp in sorted(seen)]
 
 
 def strip_bad(m: EnumeratedStructure,

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property
+from math import comb
 
 from .errors import LanguageMismatchError
 
@@ -154,20 +155,69 @@ class EnumeratedStructure:
             for t in tuples:
                 yield name, t
 
+    @cached_property
+    def _index(self) -> "_SupportIndex":
+        return _SupportIndex(self)
+
+    def type_on(self, vertices) -> tuple:
+        """The induced type on a vertex set: exactly ``induced(vertices).relations``,
+        read off the support index without building a structure."""
+        vs = sorted(vertices)
+        idx = self._index
+        found = []
+        for k, supports in idx.by_size.items():
+            if k > len(vs):
+                continue
+            if comb(len(vs), k) <= len(supports):
+                for sub in itertools.combinations(vs, k):
+                    if sub in idx.patterns:
+                        found.append(sub)
+            else:
+                keep = set(vs)
+                found.extend(sub for sub in supports if keep.issuperset(sub))
+        if not found:
+            return ()
+        rank = {v: i for i, v in enumerate(vs)}
+        order = idx.name_order
+        items = sorted((order[name], tuple(rank[sub[p]] for p in pos), name)
+                       for sub in found for name, pos in idx.patterns[sub])
+        return tuple((name, tuple(t for _, t, _ in group))
+                     for name, group in itertools.groupby(items, key=lambda item: item[2]))
+
     def induced(self, vertices) -> "EnumeratedStructure":
         """Induced substructure, renumbered along the increasing vertex map."""
         vs = sorted(vertices)
-        rank = {v: i for i, v in enumerate(vs)}
-        keep = set(vs)
-        rels = {}
-        for name, tuples in self.relations:
-            kept = [tuple(rank[v] for v in t) for t in tuples if set(t) <= keep]
-            if kept:
-                rels[name] = kept
-        return make_structure(self.language, len(vs), rels, hypergraph=self.hypergraph)
+        return EnumeratedStructure(self.language, len(vs), self.type_on(vs), self.hypergraph)
 
     def canonical_key(self):
         return (self.size, self.hypergraph, self.relations)
+
+
+class _SupportIndex:
+    """The relation tuples of a structure grouped by support, the increasing
+    tuple of their distinct vertices.  Each support maps to its pattern: the
+    sorted ``(name, positions)`` pairs that spell its tuples as positions in
+    the support, so two supports carry the same relations along the
+    increasing map between them exactly when their patterns are equal.  A
+    hypergraph has one pair per support."""
+
+    def __init__(self, structure: EnumeratedStructure):
+        grouped: dict[tuple[int, ...], list] = {}
+        for name, t in structure.relation_items():
+            support = t if structure.hypergraph else tuple(sorted(set(t)))
+            grouped.setdefault(support, []).append(
+                (name, tuple(support.index(v) for v in t)))
+        # equal patterns share one tuple: a hypergraph has one per symbol
+        shared: dict[tuple, tuple] = {}
+        self.patterns = {}
+        for s, pairs in grouped.items():
+            pattern = tuple(sorted(pairs))
+            self.patterns[s] = shared.setdefault(pattern, pattern)
+        self.by_size: dict[int, list[tuple[int, ...]]] = {}
+        for s in self.patterns:
+            self.by_size.setdefault(len(s), []).append(s)
+        # position of each symbol in the structure's canonical relation order
+        self.name_order = {name: i for i, (name, _) in enumerate(structure.relations)}
 
 
 def make_structure(language: RelationalLanguage, size: int,
@@ -198,14 +248,61 @@ def enumerate_embeddings(a: EnumeratedStructure, b: EnumeratedStructure
 
     An embedding is a strictly increasing vertex map under which the induced
     substructure of ``b`` on the image equals ``a`` (relations are preserved
-    and reflected).
+    and reflected).  The search extends increasing partial maps one source
+    vertex at a time; when vertex ``i`` gets image ``w`` it compares only the
+    supports whose largest vertex is ``i`` with the supports whose largest
+    vertex is ``w`` inside the image, and drops the branch at the first
+    mismatch.
     """
     if a.language != b.language:
         raise LanguageMismatchError("embedding between different languages")
-    out = []
-    for combo in itertools.combinations(range(b.size), a.size):
-        if b.induced(combo).relations == a.relations:
-            out.append(combo)
+    n, m = a.size, b.size
+    a_pat, b_pat = a._index.patterns, b._index.patterns
+    sizes = sorted(set(a._index.by_size) | set(b._index.by_size))
+    # supports of a with their patterns, and supports of b, by largest vertex
+    a_top: list[list] = [[] for _ in range(n)]
+    for s, pat in a_pat.items():
+        a_top[s[-1]].append((s, pat))
+    b_top: list[list] = [[] for _ in range(m)]
+    for s in b_pat:
+        b_top[s[-1]].append(s)
+    # at step i: every set of earlier source vertices plus i, with a's
+    # pattern on it (None when unrelated); built on first use
+    lookups = [sum(comb(i, k - 1) for k in sizes) for i in range(n)]
+    subsets: list[list | None] = [None] * n
+    phi: list[int] = []
+    image: set[int] = set()
+    out: list[tuple[int, ...]] = []
+
+    def consistent(i: int, w: int) -> bool:
+        if lookups[i] <= len(a_top[i]) + len(b_top[w]):
+            if subsets[i] is None:
+                subsets[i] = [(rest + (i,), a_pat.get(rest + (i,)))
+                              for k in sizes
+                              for rest in itertools.combinations(range(i), k - 1)]
+            checks = subsets[i]
+        else:
+            # a's supports at i map to distinct supports of b at w, so equal
+            # counts rule out extra supports of b inside the image
+            checks = a_top[i]
+            inside = sum(all(v in image for v in s[:-1]) for s in b_top[w])
+            if inside != len(checks):
+                return False
+        return all(b_pat.get(tuple([phi[v] for v in s])) == pat for s, pat in checks)
+
+    def extend(i: int, lo: int) -> None:
+        if i == n:
+            out.append(tuple(phi))
+            return
+        for w in range(lo, m - n + i + 1):
+            phi.append(w)
+            image.add(w)
+            if consistent(i, w):
+                extend(i + 1, w + 1)
+            image.discard(w)
+            phi.pop()
+
+    extend(0, 0)
     return out
 
 
@@ -321,15 +418,12 @@ class GenericPrefix:
         return rels, lang
 
     def _is_free(self, candidate: EnumeratedStructure, new_vertex: int) -> bool:
-        for f in self.forbidden:
-            if f.size > candidate.size:
-                continue
-            others = [v for v in range(candidate.size) if v != new_vertex]
-            for rest in itertools.combinations(others, f.size - 1):
-                part = sorted(rest + (new_vertex,))
-                if candidate.induced(part).relations == f.relations:
-                    return False
-        return True
+        # Forbidden members are covered by one relation tuple, so a copy of
+        # one spans a support of the candidate, and a new copy spans one at
+        # the new vertex.
+        members = {(f.size, f.relations) for f in self.forbidden}
+        return not any((len(s), candidate.type_on(s)) in members
+                       for s in candidate._index.patterns if new_vertex in s)
 
     def realize(self, request: ExtensionRequest) -> "GenericPrefix":
         """Append a fresh vertex realising the requested extension type."""

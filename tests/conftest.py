@@ -60,6 +60,54 @@ def random_hypergraph(lang, size, rng, density=0.35):
     return make_structure(lang, size, rels, hypergraph=True)
 
 
+def brute_induced_relations(s, vertices):
+    """The induced type on a vertex set by a full scan of the relation
+    tuples, built as a structure; the oracle for ``type_on``."""
+    vs = sorted(vertices)
+    rank = {v: i for i, v in enumerate(vs)}
+    keep = set(vs)
+    rels = {}
+    for name, tuples in s.relations:
+        kept = [tuple(rank[v] for v in t) for t in tuples if set(t) <= keep]
+        if kept:
+            rels[name] = kept
+    return make_structure(s.language, len(vs), rels, hypergraph=s.hypergraph).relations
+
+
+def brute_embeddings(a, b):
+    """All monotone embeddings by the subset scan: every increasing vertex
+    tuple of ``b`` whose induced type is ``a``'s."""
+    return [combo for combo in itertools.combinations(range(b.size), a.size)
+            if brute_induced_relations(b, combo) == a.relations]
+
+
+def brute_strip_bad(m, family):
+    """Forbidden-family stripping with one scanned induced type per subset."""
+    def bad(sub):
+        return any(f.size == len(sub) and brute_induced_relations(m, sub) == f.relations
+                   for f in family)
+
+    rels = {}
+    for name, tuples in m.relations:
+        support = [sorted(set(t)) for t in tuples]
+        rels[name] = [t for t, sup in zip(tuples, support)
+                      if m.language.arity_of(name) == 1
+                      or not any(bad(sub) for size in range(2, len(sup) + 1)
+                                 for sub in itertools.combinations(sup, size))]
+    return make_structure(m.language, m.size, rels, hypergraph=m.hypergraph)
+
+
+def random_covered_structure(lang, size, rng, hypergraph):
+    """A random structure covered by one relation tuple: the full vertex set
+    lands in a random symbol of arity ``size``."""
+    make = random_hypergraph if hypergraph else random_general_structure
+    full = tuple(range(size))
+    rels = {name: [t for t in ts if not hypergraph or t != full]
+            for name, ts in make(lang, size, rng, 0.5).relations}
+    rels.setdefault(rng.choice(lang.symbols_of_arity(size)), []).append(full)
+    return make_structure(lang, size, rels, hypergraph=hypergraph)
+
+
 _PREFIX_CACHE: dict = {}
 
 

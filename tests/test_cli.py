@@ -87,6 +87,13 @@ def test_cap_flag_and_env(files, capsys, monkeypatch):
     assert code == 0
 
 
+def test_bad_cap_env_exits_one_without_traceback(files, capsys, monkeypatch):
+    monkeypatch.setenv("BRT_CAP", "abc")
+    code, out, err = run(capsys, "degree", "--a", files["edge"], "--height", "3")
+    assert (code, out) == (1, "")
+    assert err == "brt: error: BRT_CAP must be an integer, got 'abc'\n"
+
+
 def test_unknown_flag_exits_one_with_usage(files, capsys):
     code, out, err = run(capsys, "tree", "--sigma", "3", "--level", "1", "--nope")
     assert code == 1 and out == ""

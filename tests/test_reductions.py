@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brt.errors import InfeasibleError
 from brt.reductions import (
@@ -26,7 +28,13 @@ from brt.structures import (
     make_structure,
 )
 
-from conftest import random_general_structure
+from conftest import (
+    brute_induced_relations,
+    brute_strip_bad,
+    random_covered_structure,
+    random_general_structure,
+    random_hypergraph,
+)
 
 BIN = make_language(("E", 2))
 BINTER = make_language(("E", 2), ("T", 3))
@@ -292,3 +300,23 @@ def test_strip_output_is_free_exhaustively(seed):
                 assert g.induced(sub).relations != f.relations
         # unaries and language untouched
         assert g.language == m.language
+
+
+STRIP_LANGUAGE = make_language(("u", 1), ("E", 2), ("F", 2), ("T", 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(1, 3))
+def test_strip_matches_scanned_strip(seed, hyper, members):
+    """``is_bad`` and ``strip_bad`` against stripping by scanned induced types."""
+    rng = random.Random(seed)
+    make = random_hypergraph if hyper else random_general_structure
+    family = tuple(random_covered_structure(STRIP_LANGUAGE, rng.choice((2, 3)), rng, hyper)
+                   for _ in range(members))
+    m = make(STRIP_LANGUAGE, rng.randrange(2, 9), rng, rng.choice((0.3, 0.6)))
+    assert strip_bad(m, family) == brute_strip_bad(m, family)
+    for size in (2, 3):
+        for sub in itertools.combinations(range(m.size), size):
+            want = any(f.size == size and brute_induced_relations(m, sub) == f.relations
+                       for f in family)
+            assert is_bad(m, sub, family) == want

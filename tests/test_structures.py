@@ -1,12 +1,17 @@
 """Structures, embeddings, and the staged generic prefixes."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brt.errors import LanguageMismatchError
 from brt.structures import (
+    EnumeratedStructure,
     ExtensionRequest,
+    GenericPrefix,
     compose_embeddings,
     empty_prefix,
     enumerate_embeddings,
@@ -19,7 +24,13 @@ from brt.structures import (
     uniform_language,
 )
 
-from conftest import random_hypergraph
+from conftest import (
+    brute_embeddings,
+    brute_induced_relations,
+    random_covered_structure,
+    random_general_structure,
+    random_hypergraph,
+)
 
 
 def graph(size, edges):
@@ -76,6 +87,56 @@ def test_embeddings_monotone():
     b = graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     for e in enumerate_embeddings(a, b):
         assert all(x < y for x, y in zip(e, e[1:]))
+
+
+# --- the indexed search against the subset scan -----------------------------------
+
+SEARCH_LANGUAGES = [
+    graph_language(),
+    make_language(("a", 2), ("b", 2)),
+    make_language(("u", 1), ("w", 1)),
+    uniform_language(3),
+    make_language(("u", 1), ("e", 2), ("t", 3)),
+]
+
+
+@st.composite
+def structure_pairs(draw):
+    """A target ``b`` and a source ``a`` in one language: ``a`` is ``b``
+    itself, a scanned induced piece of ``b`` (so embeddings exist), or an
+    independent random structure."""
+    lang = draw(st.sampled_from(SEARCH_LANGUAGES))
+    hyper = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([0.15, 0.35, 0.6, 0.9]))
+    make = random_hypergraph if hyper else random_general_structure
+    b = make(lang, draw(st.integers(0, 7)), rng, density)
+    kind = draw(st.sampled_from(["same", "piece", "random"]))
+    if kind == "same":
+        return b, b
+    if kind == "piece":
+        vs = draw(st.sets(st.integers(0, max(b.size - 1, 0)), max_size=min(b.size, 4)))
+        rels = brute_induced_relations(b, vs)
+        return EnumeratedStructure(lang, len(vs), rels, hyper), b
+    return make(lang, draw(st.integers(0, 4)), rng, density), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure_pairs())
+def test_search_matches_subset_scan(pair):
+    a, b = pair
+    assert enumerate_embeddings(a, b) == brute_embeddings(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure_pairs(), st.data())
+def test_type_on_matches_scanned_induced_type(pair, data):
+    _, b = pair
+    vs = data.draw(st.lists(st.integers(0, max(b.size - 1, 0)), unique=True,
+                            max_size=b.size))
+    want = brute_induced_relations(b, vs)
+    assert b.type_on(vs) == want
+    assert b.induced(vs).relations == want
 
 
 # --- predicates -------------------------------------------------------------------
@@ -180,6 +241,24 @@ def test_forbidden_family_must_be_covered():
     path = make_structure(graph_language(), 3, {"e": [(0, 1), (1, 2)]}, hypergraph=True)
     with pytest.raises(ValueError):
         empty_prefix(graph_language(), (path,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_freeness_matches_scanned_types(seed):
+    """The freeness test of a one-point extension against scanning every
+    vertex set at the new vertex."""
+    rng = random.Random(seed)
+    lang = make_language(("u", 1), ("e", 2), ("t", 3))
+    family = tuple(random_covered_structure(lang, rng.choice((1, 2, 3)), rng, True)
+                   for _ in range(rng.randrange(1, 4)))
+    candidate = random_hypergraph(lang, rng.randrange(1, 9), rng, rng.choice((0.2, 0.5)))
+    new = candidate.size - 1
+    want = not any(new in sub and brute_induced_relations(candidate, sub) == f.relations
+                   for f in family
+                   for sub in itertools.combinations(range(candidate.size), f.size))
+    prefix = GenericPrefix(make_structure(lang, 0, {}, hypergraph=True), family)
+    assert prefix._is_free(candidate, new) == want
 
 
 def test_seeded_extension_mode_is_reproducible():
