@@ -11,10 +11,9 @@ constructions, executed and re-checked rather than trusted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .structures import (
-    EnumeratedStructure,
     ExtensionRequest,
     GenericPrefix,
     empty_prefix,
@@ -34,12 +33,7 @@ def seq_colour(t: SeqNode) -> int:
     """Weight of the shortest initial segment at least as heavy as the
     length, minus the length.  Defined for every node since the full weight
     is at least the length."""
-    n = len(t)
-    for cut in range(n + 1):
-        w = seq_weight(t[:cut])
-        if w >= n:
-            return w - n
-    raise AssertionError("unreachable: full weight is >= length")
+    return triple_colour_formula(t, len(t))
 
 
 @dataclass(frozen=True)
@@ -128,10 +122,6 @@ class GrowPrefix:
     requests: tuple[ExtensionRequest, ...]
     note: str = ""
 
-    @property
-    def vertices_hint(self) -> int:
-        return len(self.requests)
-
 
 def infinite_binary_language():
     """Countably many binary relation colours, no unaries."""
@@ -165,14 +155,6 @@ class PersistentColouringContext:
         lo, hi = min(a, b), max(a, b)
         return self.prefix.slot_choice((lo,), hi)
 
-    def copy_index(self, v: int) -> int:
-        """Position of the one-vertex copy at ``v`` in the catalogue."""
-        return v
-
-    def first_copy_at_or_above(self, v: int) -> int:
-        """Least catalogue index whose copy meets ``{v, v+1, ...}``."""
-        return v
-
     def passing_sequence(self, v: int, upto: int | None = None) -> tuple[int, ...]:
         stop = v if upto is None else upto
         if stop > self.size:
@@ -184,9 +166,6 @@ class PersistentColouringContext:
         for req in grow.requests:
             prefix = prefix.realize(req)
         return PersistentColouringContext(prefix)
-
-    def type_of(self, vertices) -> tuple:
-        return self.prefix.structure.type_on(vertices)
 
 
 def triple_colour_formula(s: tuple[int, ...], n: int) -> int:
@@ -211,7 +190,7 @@ def triple_colour(ctx: PersistentColouringContext, copy) -> int:
     for x, y in itertools.combinations((a, b, c), 2):
         if ctx.colour_between(x, y):
             raise ValueError("the coloured shape is the relation-free triple")
-    s = ctx.passing_sequence(c, upto=ctx.copy_index(b))
+    s = ctx.passing_sequence(c, upto=b)
     return triple_colour_formula(s, n=a)
 
 
@@ -238,7 +217,7 @@ def triple_witness(ctx: PersistentColouringContext, p: int,
             return GrowPrefix(_plain_vertex_requests(2 - len(dom)), "need base vertices")
         raise ValueError("embedding data too small")
     r0, r1 = dom[0], dom[1]
-    w0 = seq_weight(ctx.passing_sequence(f[r1], upto=ctx.copy_index(f[r0])))
+    w0 = seq_weight(ctx.passing_sequence(f[r1], upto=f[r0]))
 
     r2 = next((v for v in dom if v > r1 and f[v] > w0), None)
     if r2 is None:
@@ -265,15 +244,16 @@ def triple_witness(ctx: PersistentColouringContext, p: int,
                     and ctx.colour_between(r3, x) == 0):
                 yield x
 
+    type_on = ctx.prefix.structure.type_on
     for x in domain_x():
         if identity:
             y = x
         else:
             y = next((cand for cand in dom if cand > r3
-                      and ctx.type_of((f[r0], f[r2], f[r3], f[cand]))
-                      == ctx.type_of((r0, r2, r3, x))
-                      and ctx.type_of(tuple(range(f[r0])) + (f[cand],))
-                      == ctx.type_of(tuple(range(f[r0])) + (f[r1],))), None)
+                      and type_on((f[r0], f[r2], f[r3], f[cand]))
+                      == type_on((r0, r2, r3, x))
+                      and type_on(tuple(range(f[r0])) + (f[cand],))
+                      == type_on(tuple(range(f[r0])) + (f[r1],))), None)
             if y is None:
                 continue
         copy = (f[r2], f[r3], f[y])

@@ -334,10 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     fmt = "dot" if getattr(args, "dot", False) else getattr(args, "output", "json")

@@ -20,11 +20,11 @@ from .structures import EnumeratedStructure, GenericPrefix
 from .trees import (
     DEFAULT_CAP,
     StrongSubtreeWitness,
+    ValuationTree,
     build_valuation_tree,
     complete_to_strong,
     induced_tree_structure,
     level_nodes,
-    sort_nodes,
     val_contains,
 )
 from .valuation import (
@@ -36,6 +36,7 @@ from .valuation import (
     make_valuation,
     meet,
     signature_from_language,
+    tier_key,
     zero_valuation,
 )
 
@@ -100,9 +101,6 @@ class EnvelopingEmbedding:
     @property
     def level_top(self) -> int:
         return max(self.vertex_level.values(), default=0)
-
-    def image(self, v: int) -> ValuationFunction:
-        return self.images[v]
 
     def verify(self, scope=None, level_bound: int | None = None,
                k: int | None = None) -> Verdict:
@@ -271,7 +269,7 @@ class Envelope:
     stages: tuple[EnvelopeStage, ...]
     witness: StrongSubtreeWitness | None
     contained: bool
-    tree: object | None = None
+    tree: ValuationTree | None = None
 
     def contains(self, node: ValuationFunction) -> bool:
         if self.witness is None:
@@ -280,7 +278,24 @@ class Envelope:
 
 
 def _dedup(nodes) -> tuple[ValuationFunction, ...]:
-    return tuple(sorted(set(nodes), key=lambda f: (f.level, f.values)))
+    return tuple(sorted(set(nodes), key=tier_key))
+
+
+def _stage(sig: Signature, index: int, sliced: dict) -> EnvelopeStage:
+    """One cascade stage from its slices (each mapped to its provenance):
+    pad with a constant zero at the top level, close under meets, and give
+    each new meet the provenance of the first padded node extending it."""
+    slices = _dedup(sliced)
+    top = zero_valuation(sig, index, max(f.level for f in slices))
+    padded = _dedup(slices + (top,))
+    prov = dict(sliced)
+    prov.setdefault(top, None)
+    meets = _dedup(meet(f, g) for f, g in
+                   itertools.combinations_with_replacement(padded, 2))
+    for m in meets:
+        if m not in prov:
+            prov[m] = prov[next(f for f in padded if f.extends(m))]
+    return EnvelopeStage(index, slices, padded, meets, provenance=prov)
 
 
 def compute_envelope(emb: EnvelopingEmbedding, subset, cap: int = DEFAULT_CAP,
@@ -307,21 +322,9 @@ def compute_envelope(emb: EnvelopingEmbedding, subset, cap: int = DEFAULT_CAP,
 
     sig = emb.sig
     images = [emb.images[v] for v in subset]
-    prov = {f: (v, ()) for v, f in zip(subset, images)}
-    top = zero_valuation(sig, 0, max(f.level for f in images))
-    padded = _dedup(images + [top])
-    prov.setdefault(top, None)
-    meets = _dedup(meet(f, g) for f, g in
-                   itertools.combinations_with_replacement(padded, 2))
-    for m in meets:
-        if m not in prov:
-            src = next(f for f in padded if f.extends(m))
-            prov[m] = prov[src]
-    stages = [EnvelopeStage(0, _dedup(images), padded, meets, provenance=dict(prov))]
-
+    stages = [_stage(sig, 0, {f: (v, ()) for v, f in zip(subset, images)})]
     while len(stages[-1].levels()) > 1:
         prev = stages[-1]
-        i = len(stages)
         sliced: dict[ValuationFunction, tuple | None] = {}
         for f in prev.meets:
             for g in prev.meets:
@@ -330,18 +333,7 @@ def compute_envelope(emb: EnvelopingEmbedding, subset, cap: int = DEFAULT_CAP,
                     if s not in sliced:
                         p = prev.provenance.get(f)
                         sliced[s] = None if p is None else (p[0], p[1] + (g.level,))
-        slices = _dedup(sliced)
-        top = zero_valuation(sig, i, max(f.level for f in slices))
-        padded = _dedup(list(slices) + [top])
-        sliced.setdefault(top, None)
-        meets_i = _dedup(meet(f, g) for f, g in
-                         itertools.combinations_with_replacement(padded, 2))
-        prov_i = dict(sliced)
-        for m in meets_i:
-            if m not in prov_i:
-                src = next(f for f in padded if f.extends(m))
-                prov_i[m] = prov_i[src]
-        stages.append(EnvelopeStage(i, slices, padded, meets_i, provenance=prov_i))
+        stages.append(_stage(sig, len(stages), sliced))
 
     level_set = tuple(sorted({l for st in stages for l in st.levels()}))
     height = len(level_set)

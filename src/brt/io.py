@@ -15,6 +15,26 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _typed(x, kind: type, what: str):
+    """``x`` if it has the JSON type ``kind``; a one-line ValueError otherwise."""
+    if isinstance(x, kind) and not (kind is int and isinstance(x, bool)):
+        return x
+    raise ValueError(f"{what} must be {_KINDS[kind]}, got {json.dumps(x, default=repr)[:40]}")
+
+
+def _ints(x, what: str) -> tuple[int, ...]:
+    return tuple(_typed(v, int, what) for v in _typed(x, list, what))
+
+
+def _schema_object(obj, what: str) -> dict:
+    if _typed(obj, dict, what).get("schema", SCHEMA) != SCHEMA:
+        raise ValueError(f"unsupported schema {obj.get('schema')}")
+    return obj
+
+
 def language_to_json(lang: RelationalLanguage) -> dict:
     out = {"schema": SCHEMA,
            "symbols": [{"name": n, "arity": a} for n, a in lang.symbols]}
@@ -24,10 +44,12 @@ def language_to_json(lang: RelationalLanguage) -> dict:
 
 
 def language_from_json(obj: dict) -> RelationalLanguage:
-    if obj.get("schema", SCHEMA) != SCHEMA:
-        raise ValueError(f"unsupported schema {obj.get('schema')}")
-    symbols = tuple((s["name"], int(s["arity"])) for s in obj["symbols"])
-    return RelationalLanguage(symbols, frozenset(obj.get("countable_arities", ())))
+    _schema_object(obj, "a language")
+    symbols = tuple((_typed(_typed(s, dict, "a symbol")["name"], str, "a symbol name"),
+                     _typed(s["arity"], int, "an arity"))
+                    for s in _typed(obj["symbols"], list, "symbols"))
+    return RelationalLanguage(symbols, frozenset(_ints(obj.get("countable_arities", []),
+                                                       "countable arities")))
 
 
 def structure_to_json(s: EnumeratedStructure) -> dict:
@@ -40,12 +62,10 @@ def structure_to_json(s: EnumeratedStructure) -> dict:
 
 
 def structure_from_json(obj: dict) -> EnumeratedStructure:
-    if obj.get("schema", SCHEMA) != SCHEMA:
-        raise ValueError(f"unsupported schema {obj.get('schema')}")
-    lang = language_from_json(obj["language"])
-    rels = {name: [tuple(t) for t in tuples]
-            for name, tuples in obj.get("relations", {}).items()}
-    return make_structure(lang, int(obj["size"]), rels,
+    lang = language_from_json(_schema_object(obj, "a structure")["language"])
+    rels = {name: [_ints(t, "a relation tuple") for t in _typed(tuples, list, "relations")]
+            for name, tuples in _typed(obj.get("relations", {}), dict, "relations").items()}
+    return make_structure(lang, _typed(obj["size"], int, "size"), rels,
                           hypergraph=bool(obj.get("hypergraph", False)))
 
 
@@ -54,7 +74,8 @@ def signature_to_json(sig: Signature) -> dict:
 
 
 def signature_from_json(obj: dict) -> Signature:
-    return Signature(tuple(obj.get("prefix", ())), int(obj.get("tail", 1)))
+    return Signature(_ints(_typed(obj, dict, "a signature").get("prefix", []), "prefix"),
+                     _typed(obj.get("tail", 1), int, "tail"))
 
 
 def parse_signature(text: str) -> Signature:
@@ -73,8 +94,9 @@ def valuation_to_json(f: ValuationFunction) -> dict:
 
 
 def valuation_from_json(obj: dict, sig: Signature, shift: int) -> ValuationFunction:
-    vals = {tuple(e["tuple"]): int(e["v"]) for e in obj.get("values", ())}
-    return make_valuation(sig, shift, int(obj["level"]), vals)
+    vals = {_ints(_typed(e, dict, "an entry")["tuple"], "a tuple"): _typed(e["v"], int, "a value")
+            for e in _typed(_typed(obj, dict, "a node").get("values", []), list, "values")}
+    return make_valuation(sig, shift, _typed(obj["level"], int, "level"), vals)
 
 
 def witness_to_json(witness: StrongSubtreeWitness, cap: int = 10_000) -> dict:
@@ -98,13 +120,14 @@ def witness_to_json(witness: StrongSubtreeWitness, cap: int = 10_000) -> dict:
 
 
 def witness_from_json(obj: dict) -> StrongSubtreeWitness:
-    sig = signature_from_json(obj["sigma"])
-    levels = tuple(int(l) for l in obj["levels"])
+    sig = signature_from_json(_typed(obj, dict, "a witness")["sigma"])
+    levels = _ints(obj["levels"], "levels")
     coords = []
-    for ci, cobj in enumerate(obj["coords"]):
-        root = valuation_from_json(cobj["root"], sig, ci)
+    for ci, cobj in enumerate(_typed(obj["coords"], list, "coords")):
+        root = valuation_from_json(_typed(cobj, dict, "a coordinate")["root"], sig, ci)
         sels = {}
-        for e in cobj.get("selections", ()):
+        for e in _typed(cobj.get("selections", []), list, "selections"):
+            _typed(e, dict, "a selection")
             parent = valuation_from_json(e["parent"], sig, ci)
             direction = valuation_from_json(e["direction"], sig, ci)
             sels[(parent, direction)] = valuation_from_json(e["child"], sig, ci)

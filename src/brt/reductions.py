@@ -19,7 +19,6 @@ from .structures import (
     RelationalLanguage,
     countable_symbol_name,
     is_covered,
-    make_language,
     make_structure,
 )
 

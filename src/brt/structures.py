@@ -74,13 +74,6 @@ class RelationalLanguage:
         present = {a for _, a in self.symbols} | set(self.countable_arities)
         return tuple(sorted(present))
 
-    @property
-    def max_arity(self) -> int:
-        """Largest arity carrying at least one symbol (0 for the empty language)."""
-        explicit = max((a for _, a in self.symbols), default=0)
-        lazy = max(self.countable_arities, default=0)
-        return max(explicit, lazy)
-
     def with_symbol(self, name: str, arity: int) -> "RelationalLanguage":
         if any(n == name for n, _ in self.symbols):
             return self

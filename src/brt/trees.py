@@ -11,7 +11,6 @@ levels where full branching enumeration is out of reach.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -27,7 +26,8 @@ from .valuation import (
     extensions,
     make_valuation,
     meet,
-    node_less,
+    node_key,
+    tier_key,
     tuple_colour,
     tuple_sort_key,
     zero_valuation,
@@ -42,15 +42,7 @@ def level_nodes(sig: Signature, shift: int, n: int, cap: int = DEFAULT_CAP
     est = count_level_nodes(sig, shift, n)
     if est > cap:
         raise InfeasibleError(est, cap, f"level {n} enumeration")
-    tuples = [t for l in sig.tracked_lengths(shift, n)
-              for t in decreasing_tuples(n, l)]
-    tuples.sort(key=tuple_sort_key)
-    bounds = [range(sig.bound(shift, len(t))) for t in tuples]
-    out = []
-    for vec in itertools.product(*bounds):
-        vals = {t: v for t, v in zip(tuples, vec) if v}
-        out.append(make_valuation(sig, shift, n, vals))
-    return out
+    return successors_at(zero_valuation(sig, shift, 0), n, cap)
 
 
 def zero_extension(f: ValuationFunction, level: int) -> ValuationFunction:
@@ -60,28 +52,31 @@ def zero_extension(f: ValuationFunction, level: int) -> ValuationFunction:
     return ValuationFunction(f.sig, f.shift, level, f.values)
 
 
-def successors_at(f: ValuationFunction, level: int, cap: int = DEFAULT_CAP
-                  ) -> list[ValuationFunction]:
-    """All nodes at the given level extending ``f``."""
-    if level < f.level:
-        raise ValueError("successor level below the node")
-    new_tuples = []
+def _new_tuples(f: ValuationFunction, level: int):
+    """The tuples an extension of ``f`` to ``level`` may set: those led by a
+    coordinate in ``[f.level, level)`` whose bound exceeds 1."""
     for lead in range(f.level, level):
         for l in f.sig.tracked_lengths(f.shift, lead + 1):
-            new_tuples.extend((lead,) + rest
-                              for rest in decreasing_tuples(lead, l - 1))
-    new_tuples.sort(key=tuple_sort_key)
+            for rest in decreasing_tuples(lead, l - 1):
+                yield (lead,) + rest
+
+
+def successors_at(f: ValuationFunction, level: int, cap: int = DEFAULT_CAP
+                  ) -> list[ValuationFunction]:
+    """All nodes at the given level extending ``f``, in node order."""
+    if level < f.level:
+        raise ValueError("successor level below the node")
+    new_tuples = sorted(_new_tuples(f, level), key=tuple_sort_key)
     est = 1
     for t in new_tuples:
         est *= f.sig.bound(f.shift, len(t))
         if est > cap:
             raise InfeasibleError(est, cap, "successor enumeration")
-    base = f.value_map()
     out = []
     for vec in itertools.product(*(range(f.sig.bound(f.shift, len(t)))
                                    for t in new_tuples)):
-        vals = dict(base)
-        vals.update({t: v for t, v in zip(new_tuples, vec) if v})
+        vals = dict(zip(new_tuples, vec))   # make_valuation drops the zeros
+        vals.update(f.values)
         out.append(make_valuation(f.sig, f.shift, level, vals))
     return out
 
@@ -99,13 +94,10 @@ def _digest(tag: tuple, bound: int) -> int:
 def hashed_extension(f: ValuationFunction, level: int, tag: tuple) -> ValuationFunction:
     """Deterministic pseudo-random extension of ``f`` to the given level."""
     vals = f.value_map()
-    for lead in range(f.level, level):
-        for l in f.sig.tracked_lengths(f.shift, lead + 1):
-            for rest in decreasing_tuples(lead, l - 1):
-                t = (lead,) + rest
-                v = _digest(tag + (t,), f.sig.bound(f.shift, len(t)))
-                if v:
-                    vals[t] = v
+    for t in _new_tuples(f, level):
+        v = _digest(tag + (t,), f.sig.bound(f.shift, len(t)))
+        if v:
+            vals[t] = v
     return make_valuation(f.sig, f.shift, level, vals)
 
 
@@ -168,7 +160,7 @@ class CompletedCoordinate:
         self.sig = sig
         self.shift = shift
         self.levels = tuple(levels)
-        self.nodes = sorted(set(nodes), key=lambda f: (f.level, f.values))
+        self.nodes = sorted(set(nodes), key=tier_key)
         node_levels = {f.level for f in self.nodes}
         if not node_levels <= set(self.levels):
             raise ValueError("node levels must lie inside the target level set")
@@ -270,7 +262,7 @@ def coordinate_nodes(coord, levels: tuple[int, ...], cap: int = DEFAULT_CAP
         total += len(nxt)
         if total > cap:
             raise InfeasibleError(total, cap, "subtree materialisation")
-        out.append(sorted(nxt, key=lambda f: (f.level, f.values)))
+        out.append(sorted(nxt, key=tier_key))
     return out
 
 
@@ -342,7 +334,7 @@ def build_valuation_tree(witness: StrongSubtreeWitness, k: int | None = None,
     if est > cap:
         raise InfeasibleError(est, cap, "valuation tree construction")
     levels = _val_levels(witness, 0, k, cap)
-    tiers = tuple(tuple(sorted(d, key=lambda f: (f.level, f.values))) for d in levels)
+    tiers = tuple(tuple(sorted(d, key=tier_key)) for d in levels)
     return ValuationTree(witness.sig, 0, witness.levels[:k], tiers, witness)
 
 
@@ -380,7 +372,7 @@ def derived_inner_tree(tree: ValuationTree) -> ValuationTree:
         seen: dict = {}
         for u in tree.nodes_by_level[m + 1]:
             seen[u.slice_at((tree.levels[m],))] = None
-        tiers.append(tuple(sorted(seen, key=lambda f: (f.level, f.values))))
+        tiers.append(tuple(sorted(seen, key=tier_key)))
     return ValuationTree(tree.sig, tree.shift + 1, tree.levels[:k - 1], tuple(tiers))
 
 
@@ -456,8 +448,7 @@ def induced_tree_structure(sig: Signature, nodes: list[ValuationFunction]
 
 def sort_nodes(nodes: list[ValuationFunction]) -> list[ValuationFunction]:
     """Sort by the node enumeration (level, then first differing entry)."""
-    return sorted(nodes, key=functools.cmp_to_key(
-        lambda a, b: -1 if node_less(a, b) else (1 if node_less(b, a) else 0)))
+    return sorted(nodes, key=node_key)
 
 
 # --- induced colourings and the bounded partition search ----------------------

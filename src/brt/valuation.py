@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, prod
+from operator import attrgetter
 
 
 @dataclass(frozen=True)
@@ -123,14 +124,11 @@ class ValuationFunction:
         return min((t[0] for t, _ in self.values), default=None)
 
     def extends(self, other: "ValuationFunction") -> bool:
-        return (self.level >= other.level
-                and self.restrict(other.level) == other)
-
-    def __lt__(self, other: "ValuationFunction") -> bool:
-        return node_less(self, other)
-
-    def __le__(self, other: "ValuationFunction") -> bool:
-        return self == other or node_less(self, other)
+        """Whether ``other`` is a restriction of this node: same tree, level
+        at most ours, and exactly our entries led below its level."""
+        n = other.level
+        return ((self.sig, self.shift) == (other.sig, other.shift) and n <= self.level
+                and tuple(e for e in self.values if e[0][0] < n) == other.values)
 
 
 def make_valuation(sig: Signature, shift: int, level: int,
@@ -146,21 +144,21 @@ def zero_valuation(sig: Signature, shift: int, level: int) -> ValuationFunction:
     return ValuationFunction(sig, shift, level, ())
 
 
-def meet(f: ValuationFunction, g: ValuationFunction) -> ValuationFunction:
-    """Longest common restriction of two nodes of the same tree."""
+def _meet_level(f: ValuationFunction, g: ValuationFunction) -> int:
+    """Level of the meet: the lower level, or the lowest leading coordinate
+    of an entry the two nodes do not share, whichever is less."""
     if (f.sig, f.shift) != (g.sig, g.shift):
         raise ValueError("meet requires nodes of the same tree")
-    cut = min(f.level, g.level)
-    fm, gm = f.value_map(), g.value_map()
-    for t in set(fm) | set(gm):
-        if fm.get(t, 0) != gm.get(t, 0):
-            cut = min(cut, t[0])
-    return f.restrict(cut)
+    return min(f.level, g.level, *(t[0] for t, _ in set(f.values) ^ set(g.values)))
+
+
+def meet(f: ValuationFunction, g: ValuationFunction) -> ValuationFunction:
+    """Longest common restriction of two nodes of the same tree."""
+    return f.restrict(_meet_level(f, g))
 
 
 def comparable(f: ValuationFunction, g: ValuationFunction) -> bool:
-    m = meet(f, g)
-    return m.level == min(f.level, g.level)
+    return _meet_level(f, g) == min(f.level, g.level)
 
 
 def extensions(f: ValuationFunction, g: ValuationFunction) -> list[ValuationFunction]:
@@ -187,19 +185,28 @@ def extensions(f: ValuationFunction, g: ValuationFunction) -> list[ValuationFunc
     return out
 
 
+def node_key(f: ValuationFunction) -> tuple:
+    """Sort key of the node enumeration: lower level first; at equal levels,
+    the lower value at the (length, lex)-least tuple where two nodes differ.
+
+    Entries are stored in (length, lex) order without zeros.  Where two keys
+    first differ, either both entries have one tuple and the values decide,
+    or the node whose tuple comes first holds a nonzero value the other
+    lacks, so it is the larger node; negating the tuple order puts it second.
+    """
+    return (f.level, tuple((-len(t), tuple(-x for x in t), v) for t, v in f.values))
+
+
+# Tier order: level, then stored entries.  It only has to be fixed and
+# cheap; it is not the node enumeration of ``node_key``.
+tier_key = attrgetter("level", "values")
+
+
 def node_less(f: ValuationFunction, g: ValuationFunction) -> bool:
-    """The node enumeration: lower level first; at equal levels, compare the
-    values at the (length, lex)-least tuple where the two functions differ."""
+    """The node enumeration as a strict order on nodes of one tree."""
     if (f.sig, f.shift) != (g.sig, g.shift):
         raise TypeError("node order only compares nodes of the same tree")
-    if f.level != g.level:
-        return f.level < g.level
-    fm, gm = f.value_map(), g.value_map()
-    diffs = [t for t in set(fm) | set(gm) if fm.get(t, 0) != gm.get(t, 0)]
-    if not diffs:
-        return False
-    t = min(diffs, key=tuple_sort_key)
-    return fm.get(t, 0) < gm.get(t, 0)
+    return node_key(f) < node_key(g)
 
 
 def signature_from_language(language) -> Signature:
@@ -223,12 +230,16 @@ def language_colour(language, name: str) -> tuple[int, int]:
 
 def count_level_nodes(sig: Signature, shift: int, n: int) -> int:
     """Number of level-``n`` nodes: product of bound^(#tuples) over lengths."""
+    if n < 0:
+        raise ValueError(f"level must be a natural number, got {n}")
     return prod(sig.bound(shift, l) ** comb(n, l)
                 for l in sig.tracked_lengths(shift, n))
 
 
 def count_tree_nodes(sig: Signature, shift: int, height: int) -> int:
     """Number of nodes of level below ``height``."""
+    if height < 0:
+        raise ValueError(f"height must be a natural number, got {height}")
     return sum(count_level_nodes(sig, shift, m) for m in range(height))
 
 

@@ -17,7 +17,7 @@ from brt.structures import (
     uniform_language,
 )
 from brt.trees import coordinate_nodes, immediate_successors, level_nodes
-from brt.valuation import Signature, make_valuation, meet, zero_valuation
+from brt.valuation import Signature, make_valuation, meet, tuple_sort_key, zero_valuation
 
 GRAPH_SIG = Signature((3,))
 TERNARY_SIG = Signature((2, 3))
@@ -37,6 +37,39 @@ def brute_level_nodes(sig, shift, n):
         out.append(make_valuation(sig, shift, n,
                                   {t: v for t, v in zip(tuples, values) if v}))
     return sorted(set(out), key=lambda f: f.values)
+
+
+def brute_node_less(f, g):
+    """The node order by a dict diff: lower level first; at equal levels, the
+    lower value at the (length, lex)-least tuple where the two nodes differ."""
+    if (f.sig, f.shift) != (g.sig, g.shift):
+        raise TypeError("node order only compares nodes of the same tree")
+    if f.level != g.level:
+        return f.level < g.level
+    fm, gm = f.value_map(), g.value_map()
+    diffs = [t for t in set(fm) | set(gm) if fm.get(t, 0) != gm.get(t, 0)]
+    if not diffs:
+        return False
+    t = min(diffs, key=tuple_sort_key)
+    return fm.get(t, 0) < gm.get(t, 0)
+
+
+def brute_extends(f, g):
+    """``f`` extends ``g`` when restricting ``f`` to ``g``'s level gives ``g``."""
+    return f.level >= g.level and f.restrict(g.level) == g
+
+
+def brute_meet_level(f, g):
+    """Level of the meet by a dict diff: the lower level, cut at the leading
+    coordinate of every tuple where the two nodes differ."""
+    if (f.sig, f.shift) != (g.sig, g.shift):
+        raise ValueError("meet requires nodes of the same tree")
+    cut = min(f.level, g.level)
+    fm, gm = f.value_map(), g.value_map()
+    for t in set(fm) | set(gm):
+        if fm.get(t, 0) != gm.get(t, 0):
+            cut = min(cut, t[0])
+    return cut
 
 
 def random_general_structure(lang, size, rng, density=0.35):

@@ -116,7 +116,7 @@ def test_witness_signals_growth_on_small_prefix():
     ctx = PersistentColouringContext.fresh()
     out = triple_witness(ctx, 0)
     assert isinstance(out, GrowPrefix)
-    assert out.vertices_hint >= 1
+    assert len(out.requests) >= 1
 
 
 def test_passing_sequence_consistency():
@@ -130,7 +130,7 @@ def test_passing_sequence_consistency():
             break
     for v in range(ctx.size):
         s = ctx.passing_sequence(v)
-        assert len(s) == ctx.first_copy_at_or_above(v) == v
+        assert len(s) == v
         # recomputation from the raw structure matches the catalogue view
         raw = tuple(ctx.prefix.slot_choice((i,), v) for i in range(v))
         assert raw == s

@@ -94,6 +94,36 @@ def test_bad_cap_env_exits_one_without_traceback(files, capsys, monkeypatch):
     assert err == "brt: error: BRT_CAP must be an integer, got 'abc'\n"
 
 
+def _one_line_error(code, out, err, message):
+    assert (code, out, err) == (1, "", f"brt: error: {message}\n")
+
+
+def test_null_size_exits_one_without_traceback(files, tmp_path, capsys):
+    obj = json.loads(open(files["edge"]).read())
+    obj["size"] = None
+    p = tmp_path / "null_size.json"
+    p.write_text(json.dumps(obj))
+    _one_line_error(*run(capsys, "embed", "--a", str(p), "--b", str(p)),
+                    "size must be an integer, got null")
+
+
+def test_list_top_level_exits_one_without_traceback(tmp_path, capsys):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    _one_line_error(*run(capsys, "embed", "--a", str(p), "--b", str(p)),
+                    "a structure must be an object, got [1, 2]")
+
+
+def test_negative_level_exits_one(capsys):
+    _one_line_error(*run(capsys, "tree", "--sigma", "3", "--level", "-1"),
+                    "level must be a natural number, got -1")
+
+
+def test_negative_height_exits_one(files, capsys):
+    _one_line_error(*run(capsys, "degree", "--a", files["edge"], "--height", "-2"),
+                    "height must be a natural number, got -2")
+
+
 def test_unknown_flag_exits_one_with_usage(files, capsys):
     code, out, err = run(capsys, "tree", "--sigma", "3", "--level", "1", "--nope")
     assert code == 1 and out == ""
@@ -214,7 +244,11 @@ def test_repeat_invocations_byte_identical(files, capsys):
         ("degree", "--a", files["edge"], "--height", "3"),
         ("adversarial", "hl", "--node", "4,0,1"),
         ("adversarial", "inf", "--colours", "3"),
+        ("tree", "--sigma", "3", "--level", "1", "--output", "table"),
+        ("val", "--sigma", "1,2", "--height", "3", "--full", "--dot"),
+        ("tree", "--sigma", "3", "--level", "1", "--nope"),
     ]
     first = [run(capsys, *argv) for argv in matrix]
     second = [run(capsys, *argv) for argv in matrix]
+    assert [code for code, _, _ in first] == [0] * (len(matrix) - 1) + [1]
     assert first == second

@@ -1,5 +1,6 @@
 """Signature and valuation-function behaviour, with enumeration oracles."""
 
+import functools
 import itertools
 
 import pytest
@@ -14,6 +15,7 @@ from brt.valuation import (
     extensions,
     make_valuation,
     meet,
+    node_key,
     node_less,
     nodes_related,
     signature_from_language,
@@ -21,7 +23,16 @@ from brt.valuation import (
     zero_valuation,
 )
 
-from conftest import FIG_SIG, GRAPH_SIG, TERNARY_SIG, brute_level_nodes
+from conftest import (
+    FIG_SIG,
+    GRAPH_SIG,
+    TERNARY_SIG,
+    TEST_SIGS,
+    brute_extends,
+    brute_level_nodes,
+    brute_meet_level,
+    brute_node_less,
+)
 
 
 # --- signatures -----------------------------------------------------------------
@@ -227,3 +238,73 @@ def test_meet_and_comparability():
     assert meet(f, g) == f.restrict(2)
     assert not comparable(f, g)
     assert comparable(f, f.restrict(1))
+
+
+# --- entry-level primitives against their dict-and-restrict twins ------------------
+
+
+def _agrees_with_twins(f, g):
+    assert f.extends(g) == brute_extends(f, g)
+    if (f.sig, f.shift) != (g.sig, g.shift):
+        with pytest.raises(TypeError):
+            node_less(f, g)
+        with pytest.raises(ValueError):
+            meet(f, g)
+        with pytest.raises(ValueError):
+            comparable(f, g)
+        return
+    assert node_less(f, g) == brute_node_less(f, g) == (node_key(f) < node_key(g))
+    cut = brute_meet_level(f, g)
+    assert meet(f, g) == f.restrict(cut)
+    assert comparable(f, g) == (cut == min(f.level, g.level))
+
+
+@pytest.mark.parametrize("sig", TEST_SIGS)
+def test_primitives_match_twins_exhaustively(sig):
+    trees = {shift: [f for n in range(4) for f in brute_level_nodes(sig, shift, n)]
+             for shift in (0, 1)}
+    pool = trees[0] + trees[1]
+    for f, g in itertools.product(pool, repeat=2):
+        _agrees_with_twins(f, g)
+    twin_order = functools.cmp_to_key(
+        lambda a, b: -1 if brute_node_less(a, b) else int(brute_node_less(b, a)))
+    for nodes in trees.values():
+        assert sorted(nodes, key=node_key) == sorted(nodes, key=twin_order)
+
+
+@st.composite
+def _node_pairs(draw):
+    """A random sparse node and a second node: a restriction of it, an edit
+    of its entries at some level, a fresh node at its level, or the same
+    entries in another tree."""
+    sig = draw(st.sampled_from(TEST_SIGS))
+    shift = draw(st.integers(0, 1))
+
+    def sparse(level, vals):
+        for _ in range(draw(st.integers(0, 4)) if level else 0):
+            t = tuple(sorted(draw(st.sets(st.integers(0, level - 1), min_size=1,
+                                          max_size=min(level, 3))), reverse=True))
+            vals[t] = draw(st.integers(0, sig.bound(shift, len(t)) - 1))
+        return make_valuation(sig, shift, level, vals)
+
+    f = sparse(draw(st.integers(0, 7)), {})
+    level = draw(st.one_of(st.just(f.level), st.integers(0, 7)))
+    kind = draw(st.sampled_from(("restriction", "edit", "sibling", "other tree")))
+    if kind == "restriction":
+        g = f.restrict(min(level, f.level))
+    elif kind == "edit":
+        g = sparse(level, {t: v for t, v in f.values if t[0] < level})
+    elif kind == "sibling":
+        g = sparse(f.level, {})
+    else:
+        sig2, shift2 = draw(st.sampled_from([(s, i) for s in TEST_SIGS for i in (0, 1)
+                                             if (s, i) != (sig, shift)]))
+        g = make_valuation(sig2, shift2, f.level,
+                           {t: v % sig2.bound(shift2, len(t)) for t, v in f.values})
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+@given(_node_pairs())
+@settings(max_examples=300, deadline=None)
+def test_primitives_match_twins_on_sparse_nodes(pair):
+    _agrees_with_twins(*pair)
