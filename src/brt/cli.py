@@ -225,9 +225,8 @@ def cmd_adversarial(args, cfg: Config) -> str:
         elif args.radial:
             prefix, fmap = radial_example(args.radial)
         else:
-            obj = _load(args.map)
-            prefix = GenericPrefix(bio.structure_from_json(obj["prefix"]))
-            fmap = {int(k): int(v) for k, v in obj["pairs"]}
+            structure, fmap = bio.map_from_json(_load(args.map))
+            prefix = GenericPrefix(structure)
         verdict = adv.is_tree_like(prefix, fmap, args.bound)
         return _emit({"status": verdict.status,
                       "witness": list(map(list, verdict.witness[:1])) + list(verdict.witness[1:])

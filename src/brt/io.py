@@ -99,6 +99,13 @@ def valuation_from_json(obj: dict, sig: Signature, shift: int) -> ValuationFunct
     return make_valuation(sig, shift, _typed(obj["level"], int, "level"), vals)
 
 
+def map_from_json(obj) -> tuple[EnumeratedStructure, dict[int, int]]:
+    """A tree-likeness map file: the prefix structure and its vertex pairs."""
+    pairs = _typed(_typed(obj, dict, "a map")["pairs"], list, "pairs")
+    return (structure_from_json(obj["prefix"]),
+            dict(_ints(p, "a map pair") for p in pairs))
+
+
 def witness_to_json(witness: StrongSubtreeWitness, cap: int = 10_000) -> dict:
     """Materialise a witness into the explicit selection schema."""
     coords = []

@@ -20,11 +20,11 @@ from .structures import EnumeratedStructure, RelationalLanguage, make_language, 
 from .valuation import (
     Signature,
     ValuationFunction,
+    _derived,
     count_level_nodes,
     count_tree_nodes,
     decreasing_tuples,
     extensions,
-    make_valuation,
     meet,
     node_key,
     tier_key,
@@ -49,16 +49,17 @@ def zero_extension(f: ValuationFunction, level: int) -> ValuationFunction:
     """Extend upward filling every new entry with zero."""
     if level < f.level:
         raise ValueError("zero_extension cannot lower the level")
-    return ValuationFunction(f.sig, f.shift, level, f.values)
+    return _derived(f.sig, f.shift, level, f.values)
 
 
-def _new_tuples(f: ValuationFunction, level: int):
-    """The tuples an extension of ``f`` to ``level`` may set: those led by a
-    coordinate in ``[f.level, level)`` whose bound exceeds 1."""
-    for lead in range(f.level, level):
-        for l in f.sig.tracked_lengths(f.shift, lead + 1):
-            for rest in decreasing_tuples(lead, l - 1):
-                yield (lead,) + rest
+def _slots(f: ValuationFunction, level: int) -> list:
+    """``f``'s entries, and with value ``None`` the tuples an extension of
+    ``f`` to ``level`` may set (those led by a coordinate in
+    ``[f.level, level)`` whose bound exceeds 1), in (length, lex) order."""
+    new = tuple(((lead,) + rest, None) for lead in range(f.level, level)
+                for l in f.sig.tracked_lengths(f.shift, lead + 1)
+                for rest in decreasing_tuples(lead, l - 1))
+    return sorted(f.values + new, key=lambda e: tuple_sort_key(e[0]))
 
 
 def successors_at(f: ValuationFunction, level: int, cap: int = DEFAULT_CAP
@@ -66,19 +67,16 @@ def successors_at(f: ValuationFunction, level: int, cap: int = DEFAULT_CAP
     """All nodes at the given level extending ``f``, in node order."""
     if level < f.level:
         raise ValueError("successor level below the node")
-    new_tuples = sorted(_new_tuples(f, level), key=tuple_sort_key)
+    slots = _slots(f, level)
+    ranges = [range(f.sig.bound(f.shift, len(t))) if v is None else (v,) for t, v in slots]
     est = 1
-    for t in new_tuples:
-        est *= f.sig.bound(f.shift, len(t))
+    for r in ranges:
+        est *= len(r)
         if est > cap:
             raise InfeasibleError(est, cap, "successor enumeration")
-    out = []
-    for vec in itertools.product(*(range(f.sig.bound(f.shift, len(t)))
-                                   for t in new_tuples)):
-        vals = dict(zip(new_tuples, vec))   # make_valuation drops the zeros
-        vals.update(f.values)
-        out.append(make_valuation(f.sig, f.shift, level, vals))
-    return out
+    keys = [t for t, _ in slots]
+    return [_derived(f.sig, f.shift, level, tuple(itertools.compress(zip(keys, vec), vec)))
+            for vec in itertools.product(*ranges)]
 
 
 def immediate_successors(f: ValuationFunction, cap: int = DEFAULT_CAP
@@ -93,12 +91,9 @@ def _digest(tag: tuple, bound: int) -> int:
 
 def hashed_extension(f: ValuationFunction, level: int, tag: tuple) -> ValuationFunction:
     """Deterministic pseudo-random extension of ``f`` to the given level."""
-    vals = f.value_map()
-    for t in _new_tuples(f, level):
-        v = _digest(tag + (t,), f.sig.bound(f.shift, len(t)))
-        if v:
-            vals[t] = v
-    return make_valuation(f.sig, f.shift, level, vals)
+    vals = ((t, _digest(tag + (t,), f.sig.bound(f.shift, len(t))) if v is None else v)
+            for t, v in _slots(f, level))
+    return _derived(f.sig, f.shift, level, tuple(e for e in vals if e[1]))
 
 
 # --- strong subtree coordinates ----------------------------------------------

@@ -100,8 +100,8 @@ class ValuationFunction:
         """Truncate to a lower level, keeping entries on tuples below it."""
         if not 0 <= level <= self.level:
             raise ValueError(f"cannot restrict level {self.level} to {level}")
-        kept = tuple((t, v) for t, v in self.values if t[0] < level)
-        return ValuationFunction(self.sig, self.shift, level, kept)
+        kept = tuple(e for e in self.values if e[0][0] < level)
+        return _derived(self.sig, self.shift, level, kept)
 
     def slice_at(self, xbar: tuple[int, ...]) -> "ValuationFunction":
         """Fix the leading coordinates to ``xbar``; shift rises by ``len(xbar)``.
@@ -116,8 +116,10 @@ class ValuationFunction:
         if not (0 <= xbar[-1] and xbar[0] < self.level):
             raise ValueError(f"slice tuple {xbar} out of range")
         m = len(xbar)
-        vals = {t[m:]: v for t, v in self.values if len(t) > m and t[:m] == xbar}
-        return make_valuation(self.sig, self.shift + m, xbar[-1], vals)
+        # Stripping the shared prefix keeps the (length, lex) order, and the
+        # bound of a tuple of length L at shift s is that of its tail at s + m.
+        kept = tuple((t[m:], v) for t, v in self.values if len(t) > m and t[:m] == xbar)
+        return _derived(self.sig, self.shift + m, xbar[-1], kept)
 
     def first_branch_level(self) -> int | None:
         """Lowest leading coordinate carrying a nonzero entry (None if zero)."""
@@ -129,6 +131,17 @@ class ValuationFunction:
         n = other.level
         return ((self.sig, self.shift) == (other.sig, other.shift) and n <= self.level
                 and tuple(e for e in self.values if e[0][0] < n) == other.values)
+
+
+def _derived(sig: Signature, shift: int, level: int,
+             values: tuple[tuple[tuple[int, ...], int], ...]) -> ValuationFunction:
+    """The trusted constructor: a node derived from validated nodes, with its
+    entries already in (length, lex) order and no zeros.  It sets the fields
+    without running ``__post_init__``; every node from outside the library
+    goes through ``make_valuation``, ``zero_valuation`` or the dataclass."""
+    f = object.__new__(ValuationFunction)
+    f.__dict__.update(sig=sig, shift=shift, level=level, values=values)
+    return f
 
 
 def make_valuation(sig: Signature, shift: int, level: int,
@@ -172,16 +185,19 @@ def extensions(f: ValuationFunction, g: ValuationFunction) -> list[ValuationFunc
         raise ValueError("extending function must sit one shift higher")
     if g.level != f.level:
         raise ValueError("extension requires equal levels")
+    if g.sig != f.sig:
+        raise ValueError("extension requires nodes of one signature")
     n = f.level
-    base = f.value_map()
-    for t, v in g.values:
-        base[(n,) + t] = v
+    # Within each length, f's tuples (led below n) precede the new ones (led
+    # by n), and the bound of (n,) + t at f.shift is that of t at g.shift.
+    new = tuple(((n,) + t, v) for t, v in g.values)
+    ones = sum(len(t) == 1 for t, _ in f.values)
+    below = f.values[:ones]
+    above = tuple(sorted(f.values[ones:] + new, key=lambda e: len(e[0])))
     out = []
     for c in range(f.sig.bound(f.shift, 1)):
-        vals = dict(base)
-        if c:
-            vals[(n,)] = c
-        out.append(make_valuation(f.sig, f.shift, n + 1, vals))
+        single = (((n,), c),) if c else ()
+        out.append(_derived(f.sig, f.shift, n + 1, below + single + above))
     return out
 
 
@@ -228,18 +244,22 @@ def language_colour(language, name: str) -> tuple[int, int]:
     return arity, language.symbols_of_arity(arity).index(name) + 1
 
 
+def _natural(x: int, what: str) -> None:
+    if x < 0:
+        raise ValueError(f"{what} must be a natural number, got {x}")
+
+
 def count_level_nodes(sig: Signature, shift: int, n: int) -> int:
     """Number of level-``n`` nodes: product of bound^(#tuples) over lengths."""
-    if n < 0:
-        raise ValueError(f"level must be a natural number, got {n}")
+    _natural(n, "level")
+    _natural(shift, "shift")
     return prod(sig.bound(shift, l) ** comb(n, l)
                 for l in sig.tracked_lengths(shift, n))
 
 
 def count_tree_nodes(sig: Signature, shift: int, height: int) -> int:
     """Number of nodes of level below ``height``."""
-    if height < 0:
-        raise ValueError(f"height must be a natural number, got {height}")
+    _natural(height, "height")
     return sum(count_level_nodes(sig, shift, m) for m in range(height))
 
 

@@ -72,6 +72,28 @@ def brute_meet_level(f, g):
     return cut
 
 
+def brute_restrict(f, level):
+    """Restriction through the validating constructor."""
+    return make_valuation(f.sig, f.shift, level, {t: v for t, v in f.values if t[0] < level})
+
+
+def brute_slice(f, xbar):
+    """The slice by its definition, through the validating constructor: the
+    value of ``xbar + t`` at ``t``, one shift up per coordinate of ``xbar``."""
+    m = len(xbar)
+    return make_valuation(f.sig, f.shift + m, xbar[-1],
+                          {t[m:]: v for t, v in f.values if len(t) > m and t[:m] == xbar})
+
+
+def brute_extensions(f, g):
+    """One-level extensions by a dict merge through the validating constructor."""
+    n = f.level
+    base = dict(f.values)
+    base.update({(n,) + t: v for t, v in g.values})
+    return [make_valuation(f.sig, f.shift, n + 1, {**base, (n,): c})
+            for c in range(f.sig[f.shift + 1])]
+
+
 def random_general_structure(lang, size, rng, density=0.35):
     """A random structure with injective (possibly asymmetric) relations."""
     rels = {}

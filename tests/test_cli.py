@@ -124,6 +124,27 @@ def test_negative_height_exits_one(files, capsys):
                     "height must be a natural number, got -2")
 
 
+def test_negative_shift_exits_one(capsys):
+    _one_line_error(*run(capsys, "tree", "--sigma", "3", "--shift", "-1", "--level", "1"),
+                    "shift must be a natural number, got -1")
+
+
+def test_list_map_exits_one_without_traceback(tmp_path, capsys):
+    p = tmp_path / "map.json"
+    p.write_text("[[1, 2]]")
+    _one_line_error(*run(capsys, "adversarial", "tree-like", "--map", str(p)),
+                    "a map must be an object, got [[1, 2]]")
+
+
+def test_witness_value_out_of_bound_exits_one(tmp_path, capsys):
+    blob = bio.witness_to_json(full_tree_witness(Signature((1, 2)), 3, 3))
+    blob["coords"][0]["selections"][0]["child"]["values"] = [{"tuple": [0], "v": 1}]
+    p = tmp_path / "w.json"
+    p.write_text(bio.dumps_canonical(blob))
+    _one_line_error(*run(capsys, "val", "--witness", str(p)),
+                    "value 1 at (0,) out of bounds")
+
+
 def test_unknown_flag_exits_one_with_usage(files, capsys):
     code, out, err = run(capsys, "tree", "--sigma", "3", "--level", "1", "--nope")
     assert code == 1 and out == ""

@@ -2,16 +2,20 @@
 
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brt.structures import graph_language, make_language, uniform_language
+from brt.trees import hashed_extension, immediate_successors, successors_at, zero_extension
 from brt.valuation import (
     Signature,
+    ValuationFunction,
     comparable,
     count_level_nodes,
+    decreasing_tuples,
     extensions,
     make_valuation,
     meet,
@@ -29,9 +33,12 @@ from conftest import (
     TERNARY_SIG,
     TEST_SIGS,
     brute_extends,
+    brute_extensions,
     brute_level_nodes,
     brute_meet_level,
     brute_node_less,
+    brute_restrict,
+    brute_slice,
 )
 
 
@@ -75,6 +82,38 @@ def test_unaries_do_not_shape_signature():
 def test_shift_reads_through(prefix, i, j):
     sig = Signature(tuple(prefix), 1)
     assert sig.shifted(i)[j] == sig[i + j]
+
+
+# --- the validating constructor ----------------------------------------------------
+
+
+@pytest.mark.parametrize("shift, level, values, message", [
+    (0, 3, {(0, 1): 1}, "tuple (0, 1) is not strictly decreasing"),
+    (0, 3, {(1, 1): 1}, "tuple (1, 1) is not strictly decreasing"),
+    (0, 3, {(3,): 1}, "tuple (3,) out of range for level 3"),
+    (0, 2, {(2, 0): 1}, "tuple (2, 0) out of range for level 2"),
+    (0, 3, {(0,): 2}, "value 2 at (0,) out of bounds"),
+    (0, 3, {(1, 0): 3}, "value 3 at (1, 0) out of bounds"),
+    (0, 3, {(0,): -1}, "value -1 at (0,) out of bounds"),
+    (1, 3, {(0,): 3}, "value 3 at (0,) out of bounds"),
+    (1, 3, {(1, 0): 1}, "value 1 at (1, 0) out of bounds"),
+    (1, 2, {(2,): 1}, "tuple (2,) out of range for level 2"),
+])
+def test_make_valuation_rejects_bad_entries(shift, level, values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_valuation(TERNARY_SIG, shift, level, values)
+
+
+def test_direct_construction_rejects_unsorted_entries():
+    with pytest.raises(ValueError, match="entries must be sorted"):
+        ValuationFunction(TERNARY_SIG, 0, 3, (((1,), 1), ((0,), 1)))
+    with pytest.raises(ValueError, match="entries must be sorted"):
+        ValuationFunction(TERNARY_SIG, 0, 3, (((1, 0), 1), ((2,), 1)))
+
+
+def test_make_valuation_accepts_the_shifted_bounds():
+    f = make_valuation(TERNARY_SIG, 1, 3, {(2,): 2, (1, 0): 0})
+    assert f.values == (((2,), 2),)
 
 
 # --- restriction and slices -------------------------------------------------------
@@ -308,3 +347,81 @@ def _node_pairs(draw):
 @settings(max_examples=300, deadline=None)
 def test_primitives_match_twins_on_sparse_nodes(pair):
     _agrees_with_twins(*pair)
+
+
+# --- derived nodes: the trusted constructor against the validating one --------------
+
+
+def _check_derived(f, uppers, above=None):
+    """Every node the library derives from ``f`` without validation equals its
+    rebuild by ``make_valuation`` (so it is valid, sorted and zero-free), and
+    restrictions, slices and extensions also equal their naive twins.
+    ``uppers`` are nodes at ``f``'s level one shift up; ``above`` maps a level
+    to the brute-force nodes there that extend ``f``."""
+    twins = [(f.restrict(l), brute_restrict(f, l)) for l in range(f.level + 1)]
+    twins += [(f.slice_at(x), brute_slice(f, x))
+              for m in range(1, f.level + 1) for x in decreasing_tuples(f.level, m)]
+    for g in uppers:
+        exts = extensions(f, g)
+        assert len(exts) == f.sig.bound(f.shift, 1)
+        twins += zip(exts, brute_extensions(f, g))
+    top = f.level + 2
+    twins.append((zero_extension(f, top), make_valuation(f.sig, f.shift, top, dict(f.values))))
+    hashed = hashed_extension(f, top, ("twin", f.values))
+    assert hashed.level == top and hashed.extends(f)
+    for h in [h for h, _ in twins] + immediate_successors(f) + [hashed]:
+        assert h == make_valuation(h.sig, h.shift, h.level, dict(h.values))
+    for h, twin in twins:
+        assert h == twin
+    for level, nodes in (above or {}).items():
+        assert successors_at(f, level) == sorted(nodes, key=node_key)
+
+
+@pytest.mark.parametrize("sig", TEST_SIGS)
+def test_derived_nodes_match_validated_twins_exhaustively(sig):
+    for shift in (0, 1):
+        tree = {n: brute_level_nodes(sig, shift, n) for n in range(5)}
+        for n in range(4):
+            uppers = brute_level_nodes(sig, shift + 1, n)
+            above = {}
+            for m in {n + 1, 4}:
+                for c in tree[m]:
+                    above.setdefault(c.restrict(n), {}).setdefault(m, []).append(c)
+            for f in tree[n]:
+                _check_derived(f, uppers, above[f])
+
+
+# Singletons, pairs and triples all carry values: merging an extension's
+# entries must interleave lengths, which no signature of TEST_SIGS needs.
+DEEP_SIG = Signature((2, 3, 2))
+
+
+def test_extensions_interleave_lengths():
+    f = make_valuation(DEEP_SIG, 0, 3, {(0,): 1, (2, 1, 0): 1})
+    g = make_valuation(DEEP_SIG, 1, 3, {(1,): 2, (2, 0): 1})
+    _check_derived(f, [g])
+
+
+@st.composite
+def _sparse_with_upper(draw):
+    """A random sparse node and a random sparse node one shift up at its level."""
+    sig = draw(st.sampled_from(TEST_SIGS + (DEEP_SIG,)))
+    shift = draw(st.integers(0, 1))
+    level = draw(st.integers(0, 3 if sig == DEEP_SIG else 6))
+
+    def sparse(shift):
+        vals = {}
+        for _ in range(draw(st.integers(0, 6)) if level else 0):
+            t = tuple(sorted(draw(st.sets(st.integers(0, level - 1), min_size=1,
+                                          max_size=min(level, 3))), reverse=True))
+            vals[t] = draw(st.integers(0, sig.bound(shift, len(t)) - 1))
+        return make_valuation(sig, shift, level, vals)
+
+    return sparse(shift), sparse(shift + 1)
+
+
+@given(_sparse_with_upper())
+@settings(max_examples=150, deadline=None)
+def test_derived_nodes_match_validated_twins_on_sparse_nodes(pair):
+    f, g = pair
+    _check_derived(f, [g])
