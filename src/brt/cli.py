@@ -3,7 +3,8 @@
 One invocation, one task: inputs are JSON files or flags, results go to
 stdout in canonical JSON (DOT or plain tables on request), diagnostics to
 stderr.  Exit codes: 0 success, 1 input error, 2 infeasible under the node
-cap (the message carries the cap and the estimate).
+cap (the message carries the cap and the estimate), 3 internal error (an
+invariant of the library failed; a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .trees import (
     build_valuation_tree,
     full_tree_witness,
     level_nodes,
+    paused_gc,
     seeded_witness,
     tree_to_dot,
 )
@@ -203,15 +205,21 @@ def cmd_adversarial(args, cfg: Config) -> str:
                       "node": list(node),
                       "colour": adv.seq_colour(node)})
     if args.action == "inf":
+        def grown(ctx, grow):
+            size = ctx.size + len(grow.requests)
+            if size > cfg.cap:
+                raise InfeasibleError(size, cfg.cap, "adversarial inf prefix")
+            return ctx.grown(grow)
+
         ctx = adv.PersistentColouringContext.fresh()
         while ctx.size < args.prefix_size:
-            ctx = ctx.grown(adv.GrowPrefix(adv._plain_vertex_requests(1)))
+            ctx = grown(ctx, adv.GrowPrefix(adv._plain_vertex_requests(1)))
         copies = {}
         for p in range(args.colours + 1):
             while True:
                 res = adv.triple_witness(ctx, p)
                 if isinstance(res, adv.GrowPrefix):
-                    ctx = ctx.grown(res)
+                    ctx = grown(ctx, res)
                     continue
                 copies[str(p)] = list(res)
                 break
@@ -347,7 +355,8 @@ def main(argv=None) -> int:
         if cap is None:
             cap = _env_cap()
         cfg = Config(cap=cap, fmt=fmt, seed=getattr(args, "seed", 0))
-        out = args.func(args, cfg)
+        with paused_gc():
+            out = args.func(args, cfg)
     except InfeasibleError as exc:
         sys.stderr.write(bio.dumps_canonical(
             {"error": "infeasible", "what": exc.what,
@@ -356,6 +365,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"brt: error: {exc}\n")
         return 1
+    except (RuntimeError, AssertionError) as exc:
+        sys.stderr.write(f"brt: internal error: {exc}\n")
+        return 3
     sys.stdout.write(out)
     return 0
 

@@ -100,10 +100,20 @@ def valuation_from_json(obj: dict, sig: Signature, shift: int) -> ValuationFunct
 
 
 def map_from_json(obj) -> tuple[EnumeratedStructure, dict[int, int]]:
-    """A tree-likeness map file: the prefix structure and its vertex pairs."""
+    """A tree-likeness map file: the prefix structure and its vertex pairs,
+    each a vertex of the prefix and its image, also a vertex of the prefix."""
     pairs = _typed(_typed(obj, dict, "a map")["pairs"], list, "pairs")
-    return (structure_from_json(obj["prefix"]),
-            dict(_ints(p, "a map pair") for p in pairs))
+    structure = structure_from_json(obj["prefix"])
+    fmap = {}
+    for p in pairs:
+        pair = _ints(p, "a map pair")
+        if len(pair) != 2:
+            raise ValueError(f"a map pair must be 2 integers, got {list(pair)}")
+        if not all(0 <= v < structure.size for v in pair):
+            raise ValueError(f"map pair {list(pair)} has a vertex outside the prefix "
+                             f"(size {structure.size})")
+        fmap[pair[0]] = pair[1]
+    return structure, fmap
 
 
 def witness_to_json(witness: StrongSubtreeWitness, cap: int = 10_000) -> dict:

@@ -11,6 +11,7 @@ levels where full branching enumeration is out of reach.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -34,6 +35,25 @@ from .valuation import (
 )
 
 DEFAULT_CAP = 10 ** 6
+
+
+class paused_gc:
+    """Pause the cyclic garbage collector for one unit of node-heavy work.
+
+    Node-heavy work allocates many small tuples and nodes that form no
+    reference cycles, so collections during it traverse a growing heap and
+    find nothing to free; reference counting frees the nodes anyway.  On exit the collector is enabled again only
+    if it was enabled on entry, so nested and already-paused callers keep
+    their state.
+    """
+
+    def __enter__(self):
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self.was_enabled:
+            gc.enable()
 
 
 def level_nodes(sig: Signature, shift: int, n: int, cap: int = DEFAULT_CAP
@@ -75,8 +95,9 @@ def successors_at(f: ValuationFunction, level: int, cap: int = DEFAULT_CAP
         if est > cap:
             raise InfeasibleError(est, cap, "successor enumeration")
     keys = [t for t, _ in slots]
-    return [_derived(f.sig, f.shift, level, tuple(itertools.compress(zip(keys, vec), vec)))
-            for vec in itertools.product(*ranges)]
+    with paused_gc():
+        return [_derived(f.sig, f.shift, level, tuple(itertools.compress(zip(keys, vec), vec)))
+                for vec in itertools.product(*ranges)]
 
 
 def immediate_successors(f: ValuationFunction, cap: int = DEFAULT_CAP
@@ -169,12 +190,19 @@ class CompletedCoordinate:
             self.root = bottom.restrict(self.levels[0])
         else:
             self.root = None
+        self._index: dict[tuple[int, int], dict] = {}
 
     def select(self, parent, direction, next_level):
-        for u in self.nodes:
-            if u.level >= next_level and u.extends(direction):
-                return u.restrict(next_level)
-        return zero_extension(direction, next_level)
+        key = (direction.level, next_level)
+        index = self._index.get(key)
+        if index is None:
+            # The first node in tier order that extends a direction wins.
+            index = self._index[key] = {}
+            for u in self.nodes:
+                if u.level >= max(direction.level, next_level):
+                    index.setdefault(u.restrict(direction.level), u.restrict(next_level))
+        found = index.get(direction)
+        return zero_extension(direction, next_level) if found is None else found
 
 
 @dataclass
@@ -391,14 +419,13 @@ def structural_embedding(tree: ValuationTree, cap: int = DEFAULT_CAP
         return emb
     inner = structural_embedding(derived_inner_tree(tree), cap)
     for m in range(k - 1):
+        lvl = tree.levels[m]
+        by_key: dict[tuple, list[ValuationFunction]] = {}
+        for c in tree.nodes_by_level[m + 1]:
+            key = (c.restrict(lvl), c.value((lvl,)), c.slice_at((lvl,)))
+            by_key.setdefault(key, []).append(c)
         for u in level_nodes(sig, shift, m + 1, cap):
-            parent_img = emb[u.restrict(m)]
-            slice_img = inner[u.slice_at((m,))]
-            x = u.value((m,))
-            lvl = tree.levels[m]
-            cands = [c for c in tree.nodes_by_level[m + 1]
-                     if c.extends(parent_img) and c.value((lvl,)) == x
-                     and c.slice_at((lvl,)) == slice_img]
+            cands = by_key.get((emb[u.restrict(m)], u.value((m,)), inner[u.slice_at((m,))]), [])
             if len(cands) != 1:
                 raise RuntimeError("structural embedding candidate not unique")
             emb[u] = cands[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -16,7 +17,13 @@ from brt.structures import (
     make_structure,
     uniform_language,
 )
-from brt.trees import coordinate_nodes, immediate_successors, level_nodes
+from brt.trees import (
+    coordinate_nodes,
+    derived_inner_tree,
+    immediate_successors,
+    level_nodes,
+    zero_extension,
+)
 from brt.valuation import Signature, make_valuation, meet, tuple_sort_key, zero_valuation
 
 GRAPH_SIG = Signature((3,))
@@ -92,6 +99,52 @@ def brute_extensions(f, g):
     base.update({(n,) + t: v for t, v in g.values})
     return [make_valuation(f.sig, f.shift, n + 1, {**base, (n,): c})
             for c in range(f.sig[f.shift + 1])]
+
+
+def brute_completed_select(coord, parent, direction, next_level):
+    """Completed-coordinate selection by a scan of the node set in tier order:
+    the first node at or above ``next_level`` extending the direction,
+    restricted to ``next_level``; the all-zero extension when none does."""
+    for u in coord.nodes:
+        if u.level >= next_level and u.extends(direction):
+            return u.restrict(next_level)
+    return zero_extension(direction, next_level)
+
+
+def brute_structural_embedding(tree, cap=50_000):
+    """The structural embedding with each image found by scanning the whole
+    tier for nodes extending the parent's image with the right singleton
+    value and top slice."""
+    sig, shift, k = tree.sig, tree.shift, tree.height
+    if k == 0:
+        return {}
+    emb = {zero_valuation(sig, shift, 0): tree.root}
+    if k == 1:
+        return emb
+    inner = brute_structural_embedding(derived_inner_tree(tree), cap)
+    for m in range(k - 1):
+        for u in level_nodes(sig, shift, m + 1, cap):
+            parent_img = emb[u.restrict(m)]
+            slice_img = inner[u.slice_at((m,))]
+            x = u.value((m,))
+            lvl = tree.levels[m]
+            cands = [c for c in tree.nodes_by_level[m + 1]
+                     if c.extends(parent_img) and c.value((lvl,)) == x
+                     and c.slice_at((lvl,)) == slice_img]
+            if len(cands) != 1:
+                raise RuntimeError("structural embedding candidate not unique")
+            emb[u] = cands[0]
+    return emb
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_before(request):
+    """Run the test with the cyclic collector enabled or disabled, and put
+    back the state it found afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
 
 
 def random_general_structure(lang, size, rng, density=0.35):

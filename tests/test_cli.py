@@ -1,9 +1,11 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
+import gc
 import json
 
 import pytest
 
+from brt import cli
 from brt import io as bio
 from brt.cli import main
 from brt.structures import graph_language, make_structure
@@ -134,6 +136,73 @@ def test_list_map_exits_one_without_traceback(tmp_path, capsys):
     p.write_text("[[1, 2]]")
     _one_line_error(*run(capsys, "adversarial", "tree-like", "--map", str(p)),
                     "a map must be an object, got [[1, 2]]")
+
+
+@pytest.mark.parametrize("pairs,message", [
+    ([[1, 999]], "map pair [1, 999] has a vertex outside the prefix (size 4)"),
+    ([[-1, 0]], "map pair [-1, 0] has a vertex outside the prefix (size 4)"),
+    ([[0, 1], [4, 2]], "map pair [4, 2] has a vertex outside the prefix (size 4)"),
+    ([[1, 2, 3]], "a map pair must be 2 integers, got [1, 2, 3]"),
+    ([[1]], "a map pair must be 2 integers, got [1]"),
+])
+def test_map_pairs_outside_the_prefix_exit_one(tmp_path, capsys, pairs, message):
+    prefix = make_structure(graph_language(), 4, {"e": [(0, 1), (2, 3)]}, hypergraph=True)
+    p = tmp_path / "map.json"
+    p.write_text(json.dumps({"prefix": bio.structure_to_json(prefix), "pairs": pairs}))
+    _one_line_error(*run(capsys, "adversarial", "tree-like", "--map", str(p)), message)
+    p.write_text(json.dumps({"prefix": bio.structure_to_json(prefix), "pairs": [[0, 3]]}))
+    code, out, _ = run(capsys, "adversarial", "tree-like", "--map", str(p))
+    assert code == 0 and json.loads(out)["checked"] == 1
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+def test_internal_error_exits_three_without_traceback(capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc("structural embedding candidate not unique")
+
+    monkeypatch.setattr(cli, "level_nodes", broken)
+    code, out, err = run(capsys, "tree", "--sigma", "3", "--level", "2")
+    assert (code, out) == (3, "")
+    assert err == "brt: internal error: structural embedding candidate not unique\n"
+
+
+def test_inf_prefix_growth_stops_at_the_cap(capsys):
+    code, out, err = run(capsys, "adversarial", "inf", "--cap", "9")
+    assert (code, out) == (2, "")
+    assert err == ('{"cap":9,"error":"infeasible","estimate":10,'
+                   '"what":"adversarial inf prefix"}\n')
+    code, out, err = run(capsys, "adversarial", "inf", "--prefix-size", "40", "--cap", "20")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"cap": 20, "error": "infeasible", "estimate": 21,
+                               "what": "adversarial inf prefix"}
+    _, default, _ = run(capsys, "adversarial", "inf")
+    assert run(capsys, "adversarial", "inf", "--cap", "10") == (0, default, "")
+    assert json.loads(default)["prefix_size"] == 10
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("tree", "--sigma", "3", "--level", "2"), 0),
+    (("tree", "--sigma", "3", "--level", "-1"), 1),
+    (("tree", "--sigma", "3", "--level", "6", "--cap", "10"), 2),
+    (("tree", "--sigma", "3", "--level", "1", "--nope"), 1),
+    (("--help",), 0),
+])
+def test_main_restores_gc_state(capsys, gc_before, argv, code):
+    assert run(capsys, *argv)[0] == code
+    assert gc.isenabled() is gc_before
+
+
+def test_command_runs_with_gc_paused(capsys, monkeypatch, gc_before):
+    seen = []
+
+    def fake(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "level_nodes", fake)
+    assert run(capsys, "tree", "--sigma", "3", "--level", "2")[0] == 3
+    assert seen == [False]
+    assert gc.isenabled() is gc_before
 
 
 def test_witness_value_out_of_bound_exits_one(tmp_path, capsys):

@@ -1,20 +1,28 @@
 """Tree views: level enumeration, valuation trees, structural embeddings,
 strong-subtree completion, and the bounded partition search."""
 
+import gc
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brt import trees
+from brt.envelopes import build_enveloping, compute_envelope
 from brt.errors import InfeasibleError
 from brt.trees import (
+    CompletedCoordinate,
     ExplicitCoordinate,
     ExhaustionReport,
     StrongSubtreeWitness,
+    ValuationTree,
     build_valuation_tree,
     complete_to_strong,
     coordinate_nodes,
     derived_inner_tree,
     full_tree_witness,
+    hashed_extension,
     immediate_successors,
     induced_colouring,
     induced_tree_structure,
@@ -25,6 +33,7 @@ from brt.trees import (
     sort_nodes,
     structural_embedding,
     subtree_snapshots,
+    successors_at,
     tree_to_dot,
     val_contains,
     zero_extension,
@@ -33,6 +42,7 @@ from brt.valuation import (
     count_level_nodes,
     count_tree_nodes,
     make_valuation,
+    meet,
     zero_valuation,
 )
 
@@ -42,7 +52,10 @@ from conftest import (
     TERNARY_SIG,
     TEST_SIGS,
     assert_strong_subtree,
+    brute_completed_select,
+    brute_structural_embedding,
     is_structural,
+    prefix_structure,
     tree_embeddings_brute,
 )
 
@@ -206,6 +219,153 @@ def test_completion_onto_larger_level_set():
     done = complete_to_strong(GRAPH_SIG, 0, [leaf.restrict(0), leaf], (0, 1, 2, 4))
     tiers = assert_strong_subtree(done, (0, 1, 2, 4))
     assert leaf in tiers[2]
+
+
+# --- indexed lookups against their scanning twins ----------------------------------
+
+
+def _outcome(fn, *args):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+def _select_agrees(coord, parent, direction, next_level):
+    assert (_outcome(coord.select, parent, direction, next_level)
+            == _outcome(brute_completed_select, coord, parent, direction, next_level))
+
+
+def _cascade_envelopes(kind, n):
+    """Every envelope of a 2- or 3-subset of the staged prefix of size ``n``."""
+    for k in (2, 3):
+        emb = build_enveloping(prefix_structure(kind, n), k)
+        for subset in itertools.combinations(range(n), k):
+            yield compute_envelope(emb, subset)
+
+
+@pytest.mark.parametrize("kind,n", [("graph", 6), ("ternary", 5)])
+def test_completed_select_matches_scan_on_cascades(kind, n, monkeypatch):
+    asked = []
+    real = CompletedCoordinate.select
+
+    def recording(self, parent, direction, next_level):
+        asked.append((self, parent, direction, next_level))
+        return real(self, parent, direction, next_level)
+
+    monkeypatch.setattr(CompletedCoordinate, "select", recording)
+    envs = list(_cascade_envelopes(kind, n))
+    monkeypatch.setattr(CompletedCoordinate, "select", real)
+    assert asked and all(env.contained for env in envs)
+    queries = set(asked)
+    for coord, parent, direction, next_level in set(asked):
+        # Next levels that skip set levels or lie below the direction.
+        queries.update((coord, parent, direction, lvl) for lvl in coord.levels)
+    for coord, parent, level, next_level in {(c, p, d.level, n) for c, p, d, n in asked}:
+        # A direction the set may not carry.
+        queries.add((coord, parent, hashed_extension(parent, level, ("off",)), next_level))
+    for query in queries:
+        _select_agrees(*query)
+
+
+@st.composite
+def _completed_queries(draw):
+    """A meet-closed node set grown by hashed extensions of restrictions of
+    its own nodes, a level set around it, and selection queries against it."""
+    sig = draw(st.sampled_from(TEST_SIGS))
+    shift = draw(st.integers(0, 1))
+    nodes = [hashed_extension(zero_valuation(sig, shift, 0), draw(st.integers(0, 4)),
+                              ("root", draw(st.integers(0, 9))))]
+    for _ in range(draw(st.integers(0, 5))):
+        f = draw(st.sampled_from(nodes))
+        base = f.restrict(draw(st.integers(0, f.level)))
+        nodes.append(hashed_extension(base, base.level + draw(st.integers(0, 3)),
+                                      ("grow", draw(st.integers(0, 9)))))
+    closed = set(nodes)
+    while True:
+        new = {meet(f, g) for f, g in itertools.combinations(closed, 2)} - closed
+        if not new:
+            break
+        closed |= new
+    levels = tuple(sorted({f.level for f in closed}
+                          | set(draw(st.lists(st.integers(0, 7), max_size=2)))))
+    coord = CompletedCoordinate(sig, shift, closed, levels)
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        f = draw(st.sampled_from(sorted(closed, key=lambda g: (g.level, g.values))))
+        direction = f.restrict(draw(st.integers(0, f.level)))
+        if draw(st.booleans()):
+            direction = hashed_extension(direction, direction.level + draw(st.integers(0, 2)),
+                                         ("dir", draw(st.integers(0, 9))))
+        queries.append((direction, draw(st.integers(0, 8))))
+    return coord, queries
+
+
+@given(_completed_queries())
+@settings(max_examples=300, deadline=None, database=None)
+def test_completed_select_matches_scan_on_random_sets(case):
+    coord, queries = case
+    for direction, next_level in queries:
+        _select_agrees(coord, direction.restrict(0), direction, next_level)
+
+
+@pytest.mark.parametrize("kind,n", [("graph", 6), ("ternary", 4)])
+def test_structural_embedding_matches_scan_on_cascades(kind, n):
+    for env in _cascade_envelopes(kind, n):
+        assert structural_embedding(env.tree) == brute_structural_embedding(env.tree)
+
+
+@given(st.sampled_from([(GRAPH_SIG, 5), (TERNARY_SIG, 4), (FIG_SIG, 5)]),
+       st.integers(0, 10 ** 6), st.integers(1, 5))
+@settings(max_examples=40, deadline=None, database=None)
+def test_structural_embedding_matches_scan_on_seeded_trees(sig_height, seed, height):
+    sig, top = sig_height
+    height = min(height, top)
+    tree = build_valuation_tree(seeded_witness(sig, height, height, seed))
+    assert structural_embedding(tree) == brute_structural_embedding(tree)
+
+
+def test_structural_embedding_rejects_duplicate_and_missing_candidates():
+    tree = build_valuation_tree(seeded_witness(GRAPH_SIG, 3, 3, 5))
+    top = tree.nodes_by_level[-1]
+    for tier in (top + top[:1], top[1:]):
+        bad = ValuationTree(tree.sig, tree.shift, tree.levels,
+                            tree.nodes_by_level[:-1] + (tier,))
+        for embed in (structural_embedding, brute_structural_embedding):
+            with pytest.raises(RuntimeError, match="candidate not unique"):
+                embed(bad)
+
+
+# --- the collector pause ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda: level_nodes(GRAPH_SIG, 0, 4),
+    lambda: successors_at(zero_valuation(TERNARY_SIG, 0, 1), 3),
+    lambda: level_nodes(GRAPH_SIG, 0, 6, cap=10),
+    lambda: successors_at(zero_valuation(GRAPH_SIG, 0, 0), 6, cap=10),
+], ids=["level_nodes", "successors_at", "level_nodes-infeasible", "successors_at-infeasible"])
+def test_enumeration_restores_gc_state(call, gc_before):
+    try:
+        call()
+    except InfeasibleError:
+        pass
+    assert gc.isenabled() is gc_before
+
+
+def test_successors_are_built_with_gc_paused(gc_before, monkeypatch):
+    seen = []
+    real = trees._derived
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(trees, "_derived", recording)
+    assert len(successors_at(zero_valuation(GRAPH_SIG, 0, 0), 2)) == 9
+    assert seen and not any(seen)
+    assert gc.isenabled() is gc_before
 
 
 # --- induced colourings ---------------------------------------------------------------
