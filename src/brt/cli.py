@@ -24,7 +24,7 @@ from .envelopes import (
     envelope_height_bound,
     trace_invariants,
 )
-from .errors import InfeasibleError
+from .errors import ESTIMATE_DIGITS, ESTIMATE_MAX, InfeasibleError
 from .reductions import decode_structure, encode_structure, strip_bad, unary_expand
 from .structures import GenericPrefix, enumerate_embeddings
 from .trees import (
@@ -89,12 +89,17 @@ def cmd_sig(args, cfg: Config) -> str:
 def cmd_tree(args, cfg: Config) -> str:
     sig = bio.parse_signature(args.sigma)
     if args.count_only:
-        return _emit({"count": count_level_nodes(sig, args.shift, args.level)})
+        count = count_level_nodes(sig, args.shift, args.level)
+        if count == ESTIMATE_MAX:
+            raise ValueError(f"level {args.level} has at least 10^{ESTIMATE_DIGITS} - 1 nodes, "
+                             f"past the {ESTIMATE_DIGITS}-digit limit of exact counts")
+        return _emit({"count": count})
     nodes = level_nodes(sig, args.shift, args.level, cfg.cap)
     if cfg.fmt == "table":
-        return "".join(f"{bio.dumps_canonical(bio.valuation_to_json(f))}" for f in nodes)
-    return _emit({"count": len(nodes),
-                  "nodes": [bio.valuation_to_json(f) for f in nodes]})
+        lines = ["\n"] * (2 * len(nodes))
+        lines[::2] = bio.nodes_json(nodes)
+        return "".join(lines)
+    return bio.dumps_with_nodes({"count": len(nodes), "nodes": nodes})
 
 
 def cmd_val(args, cfg: Config) -> str:
@@ -114,11 +119,10 @@ def cmd_val(args, cfg: Config) -> str:
                                 cap=cfg.cap)
     if cfg.fmt == "dot":
         return tree_to_dot(tree)
-    return _emit({"levels": list(tree.levels),
-                  "height": tree.height,
-                  "node_count": len(tree.nodes),
-                  "nodes": [[bio.valuation_to_json(f) for f in tier]
-                            for tier in tree.nodes_by_level]})
+    return bio.dumps_with_nodes({"levels": list(tree.levels),
+                                 "height": tree.height,
+                                 "node_count": len(tree.nodes),
+                                 "nodes": tree.nodes_by_level})
 
 
 def cmd_embed(args, cfg: Config) -> str:
@@ -144,16 +148,16 @@ def cmd_envelope(args, cfg: Config) -> str:
         "invariants": trace_invariants(env, emb),
         "trace": [{"stage": st.index,
                    "levels": list(st.levels()),
-                   "slices": [bio.valuation_to_json(f) for f in st.slices],
-                   "padded": [bio.valuation_to_json(f) for f in st.padded],
-                   "meets": [bio.valuation_to_json(f) for f in st.meets],
-                   "aligned": [bio.valuation_to_json(f) for f in st.aligned]}
+                   "slices": st.slices,
+                   "padded": st.padded,
+                   "meets": st.meets,
+                   "aligned": st.aligned}
                   for st in env.stages],
         "tree_nodes": len(env.tree.nodes) if env.tree is not None else None,
     }
     if cfg.fmt == "dot" and env.tree is not None:
         return tree_to_dot(env.tree, "envelope")
-    return _emit(report)
+    return bio.dumps_with_nodes(report)
 
 
 def cmd_degree(args, cfg: Config) -> str:

@@ -93,6 +93,51 @@ def valuation_to_json(f: ValuationFunction) -> dict:
             "values": [{"tuple": list(t), "v": v} for t, v in f.values]}
 
 
+class _EntryJSON(dict):
+    """One call's memo: a stored ``(tuple, value)`` entry to its canonical JSON."""
+
+    def __missing__(self, entry):
+        t, v = entry
+        text = self[entry] = '{"tuple":[%s],"v":%d}' % (",".join(map(str, t)), v)
+        return text
+
+
+def nodes_json(nodes) -> list[str]:
+    """``valuation_to_json`` of each node in canonical JSON, written directly:
+    the keys are already in sorted order and each distinct stored entry is
+    rendered once per call.  Nothing is cached on the nodes."""
+    entry = _EntryJSON().__getitem__
+    return ['{"level":%d,"values":[%s]}' % (f.level, ",".join(map(entry, f.values)))
+            for f in nodes]
+
+
+# A node's stand-in while the object around it is encoded.  The encoder
+# escapes the character, so only this one-character string encodes the same;
+# the objects written here hold no string values.
+_HOLE = "\x00"
+_HOLE_JSON = json.dumps(_HOLE)
+
+
+def dumps_with_nodes(obj) -> str:
+    """``dumps_canonical`` of an object that holds valuation nodes, each
+    written by one ``nodes_json`` call for all of them.  The object around
+    the nodes is encoded with sorted keys and a hole per node; the output is
+    one join of the text between the holes and the node strings."""
+    nodes: list[ValuationFunction] = []
+
+    def hole(f: ValuationFunction) -> str:
+        nodes.append(f)
+        return _HOLE
+
+    between = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                               default=hole).encode(obj).split(_HOLE_JSON)
+    pieces = [""] * (2 * len(between))
+    pieces[::2] = between
+    pieces[1:-1:2] = nodes_json(nodes)
+    pieces[-1] = "\n"
+    return "".join(pieces)
+
+
 def valuation_from_json(obj: dict, sig: Signature, shift: int) -> ValuationFunction:
     vals = {_ints(_typed(e, dict, "an entry")["tuple"], "a tuple"): _typed(e["v"], int, "a value")
             for e in _typed(_typed(obj, dict, "a node").get("values", []), list, "values")}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, saturated_product
 from .structures import (
     EnumeratedStructure,
     RelationalLanguage,
@@ -127,7 +127,7 @@ def encoded_language(language: RelationalLanguage, catalogue_cap: int = 20
     for arity in sorted({a for _, a in language.symbols if a >= 2}):
         cat = symbol_catalogue(language, arity)
         if len(cat) > catalogue_cap:
-            raise InfeasibleError(2 ** len(cat), 2 ** catalogue_cap,
+            raise InfeasibleError(saturated_product([(2, len(cat))]), 2 ** catalogue_cap,
                                   f"encoded language of arity {arity}")
         for r in range(1, len(cat) + 1):
             for sub in itertools.combinations(cat, r):

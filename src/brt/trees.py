@@ -314,10 +314,6 @@ class ValuationTree:
     def root(self) -> ValuationFunction:
         return self.nodes_by_level[0][0]
 
-    def children(self, parent: ValuationFunction) -> list[ValuationFunction]:
-        j = self.levels.index(parent.level)
-        return [c for c in self.nodes_by_level[j + 1] if c.extends(parent)]
-
 
 def _val_levels(witness: StrongSubtreeWitness, offset: int, k: int, cap: int
                 ) -> list[dict]:
@@ -621,8 +617,11 @@ def tree_to_dot(tree: ValuationTree, name: str = "valtree") -> str:
             ids[f] = f"n{j}_{i}"
             lines.append(f'  {ids[f]} [label="{_vf_label(f)}"];')
     for j in range(tree.height - 1):
+        # One pass per tier: a child's parent is its restriction to the tier's level.
+        children: dict[ValuationFunction, list[str]] = {}
+        for c in tree.nodes_by_level[j + 1]:
+            children.setdefault(c.restrict(tree.levels[j]), []).append(ids[c])
         for f in tree.nodes_by_level[j]:
-            for c in tree.children(f):
-                lines.append(f"  {ids[f]} -> {ids[c]};")
+            lines.extend(f"  {ids[f]} -> {c};" for c in children.get(f, ()))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,9 +12,12 @@ signature, ordered by end-restriction.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 from operator import attrgetter
+
+from .errors import ESTIMATE_MAX, saturated_product
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,11 @@ class Signature:
     def bound(self, shift: int, length: int) -> int:
         return self[shift + length]
 
-    def tracked_lengths(self, shift: int, max_length: int) -> list[int]:
-        """Lengths up to ``max_length`` whose bound exceeds 1 at this shift."""
-        return [l for l in range(1, max_length + 1) if self.bound(shift, l) > 1]
+    def tracked_lengths(self, shift: int, max_length: int) -> Iterator[int]:
+        """Lengths up to ``max_length`` whose bound exceeds 1 at this shift,
+        in increasing order; with tail 1 none lies past the prefix."""
+        top = max_length if self.tail > 1 else min(max_length, len(self.prefix) - shift)
+        return (l for l in range(1, top + 1) if self.bound(shift, l) > 1)
 
 
 def decreasing_tuples(n: int, length: int):
@@ -250,17 +255,26 @@ def _natural(x: int, what: str) -> None:
 
 
 def count_level_nodes(sig: Signature, shift: int, n: int) -> int:
-    """Number of level-``n`` nodes: product of bound^(#tuples) over lengths."""
+    """Number of level-``n`` nodes: product of bound^(#tuples) over lengths,
+    exact up to ``ESTIMATE_MAX`` and ``ESTIMATE_MAX`` above it."""
     _natural(n, "level")
     _natural(shift, "shift")
-    return prod(sig.bound(shift, l) ** comb(n, l)
-                for l in sig.tracked_lengths(shift, n))
+    return saturated_product((sig.bound(shift, l), comb(n, l))
+                             for l in sig.tracked_lengths(shift, n))
 
 
 def count_tree_nodes(sig: Signature, shift: int, height: int) -> int:
-    """Number of nodes of level below ``height``."""
+    """Number of nodes of level below ``height``, saturated like
+    ``count_level_nodes``."""
     _natural(height, "height")
-    return sum(count_level_nodes(sig, shift, m) for m in range(height))
+    if next(sig.tracked_lengths(shift, height - 1), None) is None:
+        return min(height, ESTIMATE_MAX)   # each level holds just the zero node
+    total = 0
+    for m in range(height):
+        total = min(total + count_level_nodes(sig, shift, m), ESTIMATE_MAX)
+        if total == ESTIMATE_MAX:
+            break
+    return total
 
 
 def tuple_colour(nodes: list[ValuationFunction]) -> int:

@@ -17,7 +17,12 @@ from brt.structures import (
     make_structure,
     uniform_language,
 )
+from hypothesis import strategies as st
+
+from brt.envelopes import envelope_height_bound, trace_invariants
+from brt.io import valuation_to_json
 from brt.trees import (
+    _vf_label,
     coordinate_nodes,
     derived_inner_tree,
     immediate_successors,
@@ -30,6 +35,27 @@ GRAPH_SIG = Signature((3,))
 TERNARY_SIG = Signature((2, 3))
 FIG_SIG = Signature((1, 2))
 TEST_SIGS = (GRAPH_SIG, TERNARY_SIG, FIG_SIG)
+# Singletons, pairs and triples all carry values: merging an extension's
+# entries must interleave lengths, which no signature of TEST_SIGS needs.
+DEEP_SIG = Signature((2, 3, 2))
+
+
+@st.composite
+def sparse_with_upper(draw):
+    """A random sparse node and a random sparse node one shift up at its level."""
+    sig = draw(st.sampled_from(TEST_SIGS + (DEEP_SIG,)))
+    shift = draw(st.integers(0, 1))
+    level = draw(st.integers(0, 3 if sig == DEEP_SIG else 6))
+
+    def sparse(shift):
+        vals = {}
+        for _ in range(draw(st.integers(0, 6)) if level else 0):
+            t = tuple(sorted(draw(st.sets(st.integers(0, level - 1), min_size=1,
+                                          max_size=min(level, 3))), reverse=True))
+            vals[t] = draw(st.integers(0, sig.bound(shift, len(t)) - 1))
+        return make_valuation(sig, shift, level, vals)
+
+    return sparse(shift), sparse(shift + 1)
 
 
 def brute_level_nodes(sig, shift, n):
@@ -135,6 +161,59 @@ def brute_structural_embedding(tree, cap=50_000):
                 raise RuntimeError("structural embedding candidate not unique")
             emb[u] = cands[0]
     return emb
+
+
+def brute_tree_to_dot(tree, name="valtree"):
+    """DOT output with each node's children found by scanning the next tier
+    for the nodes extending it."""
+    lines = [f"digraph {name} {{", "  node [shape=box];"]
+    ids = {}
+    for j, tier in enumerate(tree.nodes_by_level):
+        for i, f in enumerate(tier):
+            ids[f] = f"n{j}_{i}"
+            lines.append(f'  {ids[f]} [label="{_vf_label(f)}"];')
+    for j in range(tree.height - 1):
+        for f in tree.nodes_by_level[j]:
+            for c in tree.nodes_by_level[j + 1]:
+                if c.extends(f):
+                    lines.append(f"  {ids[f]} -> {ids[c]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# The CLI's node-list outputs in their dict form, rendered through
+# ``valuation_to_json``; ``dumps_canonical`` of each is the expected output.
+
+
+def tree_report(nodes):
+    return {"count": len(nodes), "nodes": [valuation_to_json(f) for f in nodes]}
+
+
+def val_report(tree):
+    return {"levels": list(tree.levels),
+            "height": tree.height,
+            "node_count": len(tree.nodes),
+            "nodes": [[valuation_to_json(f) for f in tier] for tier in tree.nodes_by_level]}
+
+
+def envelope_report(env, emb):
+    return {
+        "k": env.k,
+        "subset": list(env.subset),
+        "levels": list(env.levels),
+        "height": env.height,
+        "height_bound": envelope_height_bound(env.k),
+        "contained": env.contained,
+        "invariants": trace_invariants(env, emb),
+        "trace": [{"stage": stage.index,
+                   "levels": list(stage.levels()),
+                   "slices": [valuation_to_json(f) for f in stage.slices],
+                   "padded": [valuation_to_json(f) for f in stage.padded],
+                   "meets": [valuation_to_json(f) for f in stage.meets],
+                   "aligned": [valuation_to_json(f) for f in stage.aligned]}
+                  for stage in env.stages],
+        "tree_nodes": len(env.tree.nodes) if env.tree is not None else None,
+    }
 
 
 @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])

@@ -2,15 +2,27 @@
 
 import gc
 import json
+import time
+from pathlib import Path
 
 import pytest
 
 from brt import cli
 from brt import io as bio
 from brt.cli import main
-from brt.structures import graph_language, make_structure
-from brt.trees import full_tree_witness, seeded_witness, tree_language
+from brt.envelopes import build_enveloping, compute_envelope
+from brt.errors import ESTIMATE_MAX
+from brt.structures import graph_language, make_language, make_structure
+from brt.trees import (
+    build_valuation_tree,
+    full_tree_witness,
+    level_nodes,
+    seeded_witness,
+    tree_language,
+)
 from brt.valuation import Signature
+
+from conftest import envelope_report, prefix_structure, tree_report, val_report
 
 
 def run(capsys, *argv):
@@ -77,6 +89,87 @@ def test_infeasible_exit_carries_cap_and_estimate(files, capsys):
     assert info["estimate"] > 10 ** 6
 
 
+@pytest.mark.parametrize("level", [16, 64])
+def test_estimates_past_the_printable_limit_saturate(capsys, level):
+    # Level 16 has 3^65519 nodes (31,261 digits); at level 64 the exact count
+    # has about 9 * 10^18 digits and could not be built at all.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "tree", "--sigma", "1:3", "--level", str(level))
+    assert (code, out) == (2, "")
+    assert err == bio.dumps_canonical({"cap": 10 ** 6, "error": "infeasible",
+                                       "estimate": ESTIMATE_MAX,
+                                       "what": f"level {level} enumeration"})
+    code, out, err = run(capsys, "tree", "--sigma", "1:3", "--level", str(level),
+                         "--count-only")
+    _one_line_error(code, out, err, f"level {level} has at least 10^4300 - 1 nodes, "
+                                    "past the 4300-digit limit of exact counts")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_reduce_encode_of_a_huge_catalogue_exits_two(tmp_path, capsys):
+    # 8! = 40,320 (symbol, permutation) pairs: 2^40320 has 12,138 digits.
+    big = make_structure(make_language(("R", 8)), 8, {"R": [tuple(range(8))]})
+    p = tmp_path / "big.json"
+    p.write_text(bio.dumps_canonical(bio.structure_to_json(big)))
+    code, out, err = run(capsys, "reduce", "encode", "--in", str(p))
+    assert (code, out) == (2, "")
+    assert err == bio.dumps_canonical({"cap": 2 ** 20, "error": "infeasible",
+                                       "estimate": ESTIMATE_MAX,
+                                       "what": "encoded language of arity 8"})
+
+
+@pytest.mark.parametrize("argv", [
+    ("--sigma", "3", "--level", "4"),
+    ("--sigma", "2,3", "--level", "3"),
+    ("--sigma", "2,3", "--shift", "1", "--level", "3"),
+    ("--sigma", "1,2", "--level", "0"),
+    ("--sigma", "2,3,2", "--level", "3"),
+])
+def test_tree_output_matches_the_dict_form(capsys, argv):
+    args = cli.PARSER.parse_args(["tree", *argv])
+    nodes = level_nodes(bio.parse_signature(args.sigma), args.shift, args.level)
+    assert run(capsys, "tree", *argv) == (0, bio.dumps_canonical(tree_report(nodes)), "")
+    table = "".join(bio.dumps_canonical(bio.valuation_to_json(f)) for f in nodes)
+    assert run(capsys, "tree", *argv, "--output", "table") == (0, table, "")
+
+
+@pytest.mark.parametrize("sig,height,seed", [
+    (Signature((3,)), 3, None),
+    (Signature((2, 3)), 4, None),
+    (Signature((3,)), 4, 5),
+    (Signature((2, 3)), 4, 9),
+    (Signature((2, 3, 2)), 4, 1),
+])
+def test_val_output_matches_the_dict_form(capsys, sig, height, seed):
+    sigma = ",".join(map(str, sig.prefix))
+    if seed is None:
+        witness, flags = full_tree_witness(sig, height, height), ("--full",)
+    else:
+        witness, flags = seeded_witness(sig, height, height, seed), ("--seed", str(seed))
+    want = bio.dumps_canonical(val_report(build_valuation_tree(witness, height)))
+    assert run(capsys, "val", "--sigma", sigma, "--height", str(height), *flags) == (0, want, "")
+
+
+@pytest.mark.parametrize("kind,size,k,subset", [
+    ("path3", 3, 2, (0, 1)),
+    ("graph", 6, 3, (1, 3, 5)),
+    ("graph", 6, 2, (0, 4)),
+    ("ternary", 5, 3, (0, 2, 4)),
+])
+def test_envelope_output_matches_the_dict_form(files, tmp_path, capsys, kind, size, k, subset):
+    if kind == "path3":
+        path = files["path3"]
+        structure = bio.structure_from_json(json.loads(Path(path).read_text()))
+    else:
+        structure = prefix_structure(kind, size)
+        path = str(tmp_path / "prefix.json")
+        Path(path).write_text(bio.dumps_canonical(bio.structure_to_json(structure)))
+    emb = build_enveloping(structure, k)
+    want = bio.dumps_canonical(envelope_report(compute_envelope(emb, subset), emb))
+    assert run(capsys, "envelope", "--prefix", path, "--k", str(k),
+               "--subset", ",".join(map(str, subset))) == (0, want, "")
+
+
 def test_cap_flag_and_env(files, capsys, monkeypatch):
     code, _, _ = run(capsys, "degree", "--a", files["edge"], "--height", "3",
                      "--cap", "5")
@@ -101,7 +194,7 @@ def _one_line_error(code, out, err, message):
 
 
 def test_null_size_exits_one_without_traceback(files, tmp_path, capsys):
-    obj = json.loads(open(files["edge"]).read())
+    obj = json.loads(Path(files["edge"]).read_text())
     obj["size"] = None
     p = tmp_path / "null_size.json"
     p.write_text(json.dumps(obj))

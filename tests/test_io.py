@@ -1,0 +1,60 @@
+"""The direct node writer against ``json.dumps`` of the dict form."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from brt.io import dumps_canonical, dumps_with_nodes, nodes_json, valuation_to_json
+from brt.valuation import make_valuation
+
+from conftest import DEEP_SIG, TEST_SIGS, brute_level_nodes, sparse_with_upper
+
+
+def _twin(f):
+    return json.dumps(valuation_to_json(f), sort_keys=True, separators=(",", ":"))
+
+
+def _check_writer(nodes):
+    assert nodes_json(nodes) == [_twin(f) for f in nodes]
+
+
+@pytest.mark.parametrize("sig", TEST_SIGS)
+def test_nodes_json_matches_dumps_exhaustively(sig):
+    for shift in (0, 1):
+        everything = []
+        for n in range(4):
+            nodes = brute_level_nodes(sig, shift, n)
+            _check_writer(nodes)
+            everything += nodes
+        # One call over every level: entries recur with other values and
+        # other companions, all through one memo.
+        _check_writer(everything)
+
+
+@given(st.lists(sparse_with_upper(), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_nodes_json_matches_dumps_on_sparse_nodes(pairs):
+    _check_writer([f for pair in pairs for f in pair])
+
+
+def test_nodes_json_renders_equal_tuples_with_their_own_values():
+    nodes = [make_valuation(DEEP_SIG, 0, 3, {(0,): 1, (2, 1): 1, (2, 1, 0): 1}),
+             make_valuation(DEEP_SIG, 0, 3, {(0,): 1, (2, 1): 2}),
+             make_valuation(DEEP_SIG, 1, 3, {(1,): 1, (2, 1): 1})]
+    _check_writer(nodes)
+    assert nodes_json([]) == []
+
+
+def test_dumps_with_nodes_matches_dumps_canonical():
+    nodes = brute_level_nodes(TEST_SIGS[1], 0, 2)
+    dicts = [valuation_to_json(f) for f in nodes]
+    obj = {"z": None, "count": 3, "b": True, "empty": [], "none": {}, "levels": (0, 2),
+           "nested": [{"y": tuple(nodes[:2]), "x": "s"}, {}], "nodes": nodes,
+           "tiers": [[], nodes[3:5], [nodes[0]]], "one": nodes[7]}
+    want = {**obj, "nested": [{"y": dicts[:2], "x": "s"}, {}], "nodes": dicts,
+            "tiers": [[], dicts[3:5], [dicts[0]]], "one": dicts[7]}
+    assert dumps_with_nodes(obj) == dumps_canonical(want)
+    assert dumps_with_nodes({}) == "{}\n"
+    assert dumps_with_nodes(nodes[:1]) == dumps_canonical(dicts[:1])

@@ -54,6 +54,7 @@ from conftest import (
     assert_strong_subtree,
     brute_completed_select,
     brute_structural_embedding,
+    brute_tree_to_dot,
     is_structural,
     prefix_structure,
     tree_embeddings_brute,
@@ -455,3 +456,26 @@ def test_dot_output_shape():
     assert dot.startswith("digraph")
     assert dot.count("->") == 3
     assert 'label="L0|0"' in dot
+
+
+@pytest.mark.parametrize("sig", TEST_SIGS)
+def test_dot_edges_match_the_tier_scan_on_full_trees(sig):
+    for height in range(1, 5):
+        tree = build_valuation_tree(full_tree_witness(sig, height, height))
+        assert tree_to_dot(tree) == brute_tree_to_dot(tree)
+
+
+@given(st.sampled_from(TEST_SIGS), st.integers(1, 4), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None, database=None)
+def test_dot_edges_match_the_tier_scan_on_seeded_trees(sig, height, seed):
+    tree = build_valuation_tree(seeded_witness(sig, height, height, seed), height)
+    assert tree_to_dot(tree, "seeded") == brute_tree_to_dot(tree, "seeded")
+
+
+@pytest.mark.parametrize("kind,size,k", [("graph", 6, 3), ("ternary", 5, 2)])
+def test_dot_edges_match_the_tier_scan_on_envelope_trees(kind, size, k):
+    emb = build_enveloping(prefix_structure(kind, size), k)
+    for subset in itertools.combinations(range(size), k):
+        tree = compute_envelope(emb, subset).tree
+        if tree is not None:
+            assert tree_to_dot(tree, "envelope") == brute_tree_to_dot(tree, "envelope")

@@ -2,12 +2,14 @@
 
 import functools
 import itertools
+import math
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brt.errors import ESTIMATE_MAX, saturated_product
 from brt.structures import graph_language, make_language, uniform_language
 from brt.trees import hashed_extension, immediate_successors, successors_at, zero_extension
 from brt.valuation import (
@@ -15,6 +17,7 @@ from brt.valuation import (
     ValuationFunction,
     comparable,
     count_level_nodes,
+    count_tree_nodes,
     decreasing_tuples,
     extensions,
     make_valuation,
@@ -28,6 +31,7 @@ from brt.valuation import (
 )
 
 from conftest import (
+    DEEP_SIG,
     FIG_SIG,
     GRAPH_SIG,
     TERNARY_SIG,
@@ -39,6 +43,7 @@ from conftest import (
     brute_node_less,
     brute_restrict,
     brute_slice,
+    sparse_with_upper,
 )
 
 
@@ -238,6 +243,41 @@ def test_count_formula_matches_enumeration(sig, n):
     assert count_level_nodes(sig, 0, n) == len(brute_level_nodes(sig, 0, n))
 
 
+@pytest.mark.parametrize("sig", TEST_SIGS + (DEEP_SIG, Signature((1,), 3), Signature((), 1)))
+def test_counts_are_exact_below_the_printable_limit_and_saturate_above(sig):
+    # With bounds (1, 3, 3, ...) the exact level count has 3,902 digits at
+    # level 13 and 7,810 at level 14.
+    for shift in (0, 1, 2):
+        total = 0
+        for n in range(17):
+            exact = math.prod(sig.bound(shift, l) ** math.comb(n, l) for l in range(1, n + 1))
+            total += exact
+            assert count_level_nodes(sig, shift, n) == min(exact, ESTIMATE_MAX)
+            assert count_tree_nodes(sig, shift, n + 1) == min(total, ESTIMATE_MAX)
+
+
+def test_tree_counts_of_one_node_per_level_are_not_summed_level_by_level():
+    assert count_tree_nodes(Signature((), 1), 0, 10 ** 12) == 10 ** 12
+    assert count_tree_nodes(Signature((3, 1, 2)), 3, 10 ** 5000) == ESTIMATE_MAX
+    assert count_tree_nodes(Signature((3,)), 1, 0) == 0
+
+
+def test_saturated_product_at_the_limit():
+    assert saturated_product([(10, 4299), (9, 1)]) == 9 * 10 ** 4299
+    assert saturated_product([(10, 4300)]) == ESTIMATE_MAX
+    assert saturated_product([(10, 4299), (10, 1)]) == ESTIMATE_MAX
+    assert saturated_product([(2, 14284)]) == 2 ** 14284
+    assert saturated_product([(2, 14285)]) == ESTIMATE_MAX
+    assert saturated_product([(1, 10 ** 30), (0, 0), (5, 2)]) == 25
+    assert saturated_product([]) == 1
+
+    def lazy():
+        yield 3, 10 ** 30
+        raise AssertionError("read past saturation")
+
+    assert saturated_product(lazy()) == ESTIMATE_MAX
+
+
 # --- the induced relation and node order -------------------------------------------
 
 
@@ -391,36 +431,13 @@ def test_derived_nodes_match_validated_twins_exhaustively(sig):
                 _check_derived(f, uppers, above[f])
 
 
-# Singletons, pairs and triples all carry values: merging an extension's
-# entries must interleave lengths, which no signature of TEST_SIGS needs.
-DEEP_SIG = Signature((2, 3, 2))
-
-
 def test_extensions_interleave_lengths():
     f = make_valuation(DEEP_SIG, 0, 3, {(0,): 1, (2, 1, 0): 1})
     g = make_valuation(DEEP_SIG, 1, 3, {(1,): 2, (2, 0): 1})
     _check_derived(f, [g])
 
 
-@st.composite
-def _sparse_with_upper(draw):
-    """A random sparse node and a random sparse node one shift up at its level."""
-    sig = draw(st.sampled_from(TEST_SIGS + (DEEP_SIG,)))
-    shift = draw(st.integers(0, 1))
-    level = draw(st.integers(0, 3 if sig == DEEP_SIG else 6))
-
-    def sparse(shift):
-        vals = {}
-        for _ in range(draw(st.integers(0, 6)) if level else 0):
-            t = tuple(sorted(draw(st.sets(st.integers(0, level - 1), min_size=1,
-                                          max_size=min(level, 3))), reverse=True))
-            vals[t] = draw(st.integers(0, sig.bound(shift, len(t)) - 1))
-        return make_valuation(sig, shift, level, vals)
-
-    return sparse(shift), sparse(shift + 1)
-
-
-@given(_sparse_with_upper())
+@given(sparse_with_upper())
 @settings(max_examples=150, deadline=None)
 def test_derived_nodes_match_validated_twins_on_sparse_nodes(pair):
     f, g = pair
