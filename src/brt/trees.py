@@ -87,17 +87,19 @@ def successors_at(f: ValuationFunction, level: int, cap: int = DEFAULT_CAP
     """All nodes at the given level extending ``f``, in node order."""
     if level < f.level:
         raise ValueError("successor level below the node")
-    slots = _slots(f, level)
-    ranges = [range(f.sig.bound(f.shift, len(t))) if v is None else (v,) for t, v in slots]
+    # Each slot's choices are prebuilt entries, ``None`` standing for 0, so
+    # the successors share their entry pairs and a successor is one filter
+    # of its choice vector.
+    choices = [[None] + [(t, c) for c in range(1, f.sig.bound(f.shift, len(t)))]
+               if v is None else [(t, v)] for t, v in _slots(f, level)]
     est = 1
-    for r in ranges:
-        est *= len(r)
+    for c in choices:
+        est *= len(c)
         if est > cap:
             raise InfeasibleError(est, cap, "successor enumeration")
-    keys = [t for t, _ in slots]
     with paused_gc():
-        return [_derived(f.sig, f.shift, level, tuple(itertools.compress(zip(keys, vec), vec)))
-                for vec in itertools.product(*ranges)]
+        return [_derived(f.sig, f.shift, level, tuple(filter(None, vec)))
+                for vec in itertools.product(*choices)]
 
 
 def immediate_successors(f: ValuationFunction, cap: int = DEFAULT_CAP
@@ -320,14 +322,13 @@ def _val_levels(witness: StrongSubtreeWitness, offset: int, k: int, cap: int
     if k == 0:
         return []
     inner = _val_levels(witness, offset + 1, k - 1, cap)
-    out: list[dict] = [{witness.root(offset): None}]
+    coord, levels = witness.coords[offset], witness.levels
+    out: list[dict] = [{coord.root: None}]
     total = 1
     for m in range(k - 1):
         nxt: dict = {}
-        for f in out[m]:
-            for g in inner[m]:
-                for h in extensions(f, g):
-                    nxt[witness.select(offset, f, h)] = None
+        for f, h in extensions(list(out[m]), list(inner[m])):
+            nxt[coord.select(f, h, levels[m + 1])] = None
         total += len(nxt)
         if total > cap:
             raise InfeasibleError(total, cap, "valuation tree construction")
@@ -368,17 +369,20 @@ def val_contains(witness: StrongSubtreeWitness, node: ValuationFunction,
     if node.level not in levels:
         return False
     m = levels.index(node.level)
-    if node.restrict(levels[0]) != witness.root(coord):
+    select = witness.coords[coord].select
+    s = node.restrict(levels[0])
+    if s != witness.root(coord):
         return False
     for j in range(m):
-        s = node.restrict(levels[j])
+        # Level j's restriction ``nxt`` is level j+1's parent ``s``.
         t = node.restrict(levels[j] + 1)
         nxt = node.restrict(levels[j + 1])
-        if witness.select(coord, s, t) != nxt:
+        if select(s, t, levels[j + 1]) != nxt:
             return False
         g = nxt.slice_at((levels[j],))
         if not val_contains(witness, g, coord + 1, height - 1):
             return False
+        s = nxt
     return True
 
 

@@ -12,8 +12,8 @@ signature, ordered by end-restriction.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from math import comb
 from operator import attrgetter
 
@@ -66,11 +66,16 @@ def tuple_sort_key(t: tuple[int, ...]) -> tuple:
     return (len(t), t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValuationFunction:
-    """A sparse valuation function: level, shift, and its nonzero entries."""
+    """A sparse valuation function: level, shift, and its nonzero entries.
 
-    sig: Signature
+    Nodes are slotted: four references and no instance dict.  Equality
+    compares all four fields; the hash leaves ``sig`` out, since nodes that
+    meet in one dict or set nearly always share it, and equal nodes still
+    hash alike."""
+
+    sig: Signature = field(hash=False)
     shift: int
     level: int
     values: tuple[tuple[tuple[int, ...], int], ...]
@@ -138,14 +143,25 @@ class ValuationFunction:
                 and tuple(e for e in self.values if e[0][0] < n) == other.values)
 
 
+# The slots' member descriptors set a field of a frozen node directly.
+_new = object.__new__
+_set_sig = ValuationFunction.sig.__set__
+_set_shift = ValuationFunction.shift.__set__
+_set_level = ValuationFunction.level.__set__
+_set_values = ValuationFunction.values.__set__
+
+
 def _derived(sig: Signature, shift: int, level: int,
              values: tuple[tuple[tuple[int, ...], int], ...]) -> ValuationFunction:
     """The trusted constructor: a node derived from validated nodes, with its
     entries already in (length, lex) order and no zeros.  It sets the fields
     without running ``__post_init__``; every node from outside the library
     goes through ``make_valuation``, ``zero_valuation`` or the dataclass."""
-    f = object.__new__(ValuationFunction)
-    f.__dict__.update(sig=sig, shift=shift, level=level, values=values)
+    f = _new(ValuationFunction)
+    _set_sig(f, sig)
+    _set_shift(f, shift)
+    _set_level(f, level)
+    _set_values(f, values)
     return f
 
 
@@ -179,30 +195,48 @@ def comparable(f: ValuationFunction, g: ValuationFunction) -> bool:
     return _meet_level(f, g) == min(f.level, g.level)
 
 
-def extensions(f: ValuationFunction, g: ValuationFunction) -> list[ValuationFunction]:
-    """All one-level extensions of ``f`` by ``g``.
+def extensions(fs: Sequence[ValuationFunction], gs: Sequence[ValuationFunction]
+               ) -> list[tuple[ValuationFunction, ValuationFunction]]:
+    """All one-level extensions of each node of ``fs`` by each node of ``gs``,
+    as ``(f, extension)`` pairs: ``f`` by ``f``, then ``g`` by ``g``, then by
+    the value at the new singleton.
 
-    ``g`` must sit one shift higher at the same level; the results agree with
-    ``f`` below, read ``g`` on tuples led by the new coordinate, and run
-    through every admissible value at the new singleton.
+    The nodes of ``fs`` share one tree and one level; those of ``gs`` sit one
+    shift higher at that level.  An extension agrees with its ``f`` below,
+    reads its ``g`` on tuples led by the new coordinate, and takes one
+    admissible value at the new singleton.  A pair of nodes is the 1x1 case.
     """
-    if g.shift != f.shift + 1:
+    if not fs or not gs:
+        return []
+    sig, shift, n = fs[0].sig, fs[0].shift, fs[0].level
+    if any(f.sig != sig or f.shift != shift or f.level != n for f in fs):
+        raise ValueError("extended nodes must share one tree and one level")
+    if any(g.shift != shift + 1 for g in gs):
         raise ValueError("extending function must sit one shift higher")
-    if g.level != f.level:
+    if any(g.level != n for g in gs):
         raise ValueError("extension requires equal levels")
-    if g.sig != f.sig:
+    if any(g.sig != sig for g in gs):
         raise ValueError("extension requires nodes of one signature")
-    n = f.level
     # Within each length, f's tuples (led below n) precede the new ones (led
     # by n), and the bound of (n,) + t at f.shift is that of t at g.shift.
-    new = tuple(((n,) + t, v) for t, v in g.values)
-    ones = sum(len(t) == 1 for t, _ in f.values)
-    below = f.values[:ones]
-    above = tuple(sorted(f.values[ones:] + new, key=lambda e: len(e[0])))
+    # Each g's shifted entries and each singleton entry are built once per
+    # call and shared by every extension that holds them.
+    lead = (n,)
+    new = [tuple((lead + t, v) for t, v in g.values) for g in gs]
+    singles = [()] + [((lead, c),) for c in range(1, sig.bound(shift, 1))]
     out = []
-    for c in range(f.sig.bound(f.shift, 1)):
-        single = (((n,), c),) if c else ()
-        out.append(_derived(f.sig, f.shift, n + 1, below + single + above))
+    for f in fs:
+        ones = sum(len(t) == 1 for t, _ in f.values)
+        below, above = f.values[:ones], f.values[ones:]
+        top = len(above[-1][0]) if above else 0
+        for add in new:
+            # The new entries run from length 2 up; merge them with f's
+            # longer entries by length only where the lengths interleave.
+            if add and len(add[0][0]) < top:
+                rest = tuple(sorted(above + add, key=lambda e: len(e[0])))
+            else:
+                rest = above + add
+            out.extend((f, _derived(sig, shift, n + 1, below + s + rest)) for s in singles)
     return out
 
 

@@ -127,6 +127,31 @@ def brute_extensions(f, g):
             for c in range(f.sig[f.shift + 1])]
 
 
+def brute_valuation_tree(witness, k=None):
+    """The valuation tree's tiers by the pairwise construction: every node of
+    a tier extended by every node of the inner tree's tier, one pair at a
+    time through ``brute_extensions``, then the witness's selection above
+    each extension; each tier in (level, entries) order."""
+    if k is None:
+        k = witness.dimension
+
+    def levels(offset, k):
+        if k == 0:
+            return []
+        inner = levels(offset + 1, k - 1)
+        out = [{witness.root(offset): None}]
+        for m in range(k - 1):
+            nxt = {}
+            for f in out[m]:
+                for g in inner[m]:
+                    for h in brute_extensions(f, g):
+                        nxt[witness.select(offset, f, h)] = None
+            out.append(nxt)
+        return out
+
+    return tuple(tuple(sorted(d, key=lambda f: (f.level, f.values))) for d in levels(0, k))
+
+
 def brute_completed_select(coord, parent, direction, next_level):
     """Completed-coordinate selection by a scan of the node set in tier order:
     the first node at or above ``next_level`` extending the direction,

@@ -3,6 +3,7 @@ strong-subtree completion, and the bounded partition search."""
 
 import gc
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,7 @@ from brt.valuation import (
 )
 
 from conftest import (
+    DEEP_SIG,
     FIG_SIG,
     GRAPH_SIG,
     TERNARY_SIG,
@@ -55,6 +57,7 @@ from conftest import (
     brute_completed_select,
     brute_structural_embedding,
     brute_tree_to_dot,
+    brute_valuation_tree,
     is_structural,
     prefix_structure,
     tree_embeddings_brute,
@@ -136,6 +139,49 @@ def test_witness_height_must_cover_dimension():
     w = seeded_witness(GRAPH_SIG, 3, 2, 0)
     with pytest.raises(ValueError):
         build_valuation_tree(w)
+
+
+def _assert_pairwise_tiers(witness, k):
+    tree = build_valuation_tree(witness, k)
+    assert tree.nodes_by_level == brute_valuation_tree(witness, k)
+    return tree
+
+
+@pytest.mark.parametrize("kind,n", [("graph", 6), ("ternary", 5)])
+def test_valuation_tree_matches_pairwise_construction_on_envelopes(kind, n):
+    built = 0
+    for env in _cascade_envelopes(kind, n):
+        if env.tree is not None:
+            assert env.tree.nodes_by_level == brute_valuation_tree(env.witness, env.height)
+            built += 1
+    assert built == sum(math.comb(n, k) for k in (2, 3))
+
+
+def test_valuation_tree_matches_pairwise_construction_on_a_height_five_envelope():
+    env = compute_envelope(build_enveloping(prefix_structure("ternary", 6), 3), (0, 1, 4))
+    assert env.height == 5 and len(env.tree.nodes) == 11_895
+    assert env.tree.nodes_by_level == brute_valuation_tree(env.witness, env.height)
+
+
+@pytest.mark.parametrize("sig", TEST_SIGS + (DEEP_SIG,))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_valuation_tree_matches_pairwise_construction_on_full_and_seeded(sig, k):
+    full = _assert_pairwise_tiers(full_tree_witness(sig, k, k), k)
+    assert len(full.nodes) == count_tree_nodes(sig, 0, k)
+    for seed in range(3):
+        _assert_pairwise_tiers(seeded_witness(sig, k, k, seed), k)
+
+
+@given(st.sampled_from(TEST_SIGS + (DEEP_SIG,)), st.integers(1, 4), st.integers(0, 2),
+       st.integers(0, 10 ** 6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_valuation_tree_matches_pairwise_construction_on_random_witnesses(
+        sig, k, extra, seed, data):
+    height = k + extra
+    levels = tuple(sorted(data.draw(st.sets(st.integers(0, 7), min_size=height,
+                                            max_size=height))))
+    witness = seeded_witness(sig, k, height, seed, levels)
+    _assert_pairwise_tiers(witness, data.draw(st.integers(1, k)))
 
 
 # --- structural embeddings ----------------------------------------------------------

@@ -4,6 +4,8 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,13 @@ from hypothesis import strategies as st
 
 from brt.errors import ESTIMATE_MAX, saturated_product
 from brt.structures import graph_language, make_language, uniform_language
-from brt.trees import hashed_extension, immediate_successors, successors_at, zero_extension
+from brt.trees import (
+    hashed_extension,
+    immediate_successors,
+    level_nodes,
+    successors_at,
+    zero_extension,
+)
 from brt.valuation import (
     Signature,
     ValuationFunction,
@@ -187,20 +195,25 @@ def test_restrict_composition(seed, level, data):
 # --- extensions -------------------------------------------------------------------
 
 
+def pair_extensions(f, g):
+    """The extensions of one node by one node: the 1x1 case of the tier form."""
+    return [h for _, h in extensions([f], [g])]
+
+
 def test_extensions_spec_examples():
     f = make_valuation(GRAPH_SIG, 0, 1, {(0,): 1})
     g = zero_valuation(GRAPH_SIG, 1, 1)
-    exts = extensions(f, g)
+    exts = pair_extensions(f, g)
     assert [h.value((1,)) for h in exts] == [0, 1, 2]
     assert all(h.value((1, 0)) == 0 and h.restrict(1) == f for h in exts)
 
     sig = FIG_SIG
     f2 = zero_valuation(sig, 0, 1)
     g2 = make_valuation(sig, 1, 1, {(0,): 1})
-    exts2 = extensions(f2, g2)
+    exts2 = pair_extensions(f2, g2)
     assert len(exts2) == 1 and exts2[0].value((1, 0)) == 1
 
-    base = extensions(zero_valuation(GRAPH_SIG, 0, 0), zero_valuation(GRAPH_SIG, 1, 0))
+    base = pair_extensions(zero_valuation(GRAPH_SIG, 0, 0), zero_valuation(GRAPH_SIG, 1, 0))
     assert len(base) == GRAPH_SIG[1] == 3
 
 
@@ -213,7 +226,7 @@ def test_extension_count_and_divergence(seed, level):
               for length in range(1, level + 1)
               for t in itertools.combinations(range(level - 1, -1, -1), length)}
     g = make_valuation(sig, 1, level, g_vals)
-    exts = extensions(f, g)
+    exts = pair_extensions(f, g)
     assert len(exts) == sig[1]
     for a, b in itertools.combinations(exts, 2):
         diff = {t for t in set(a.value_map()) | set(b.value_map())
@@ -224,9 +237,25 @@ def test_extension_count_and_divergence(seed, level):
 def test_extensions_reject_mismatch():
     f = zero_valuation(GRAPH_SIG, 0, 1)
     with pytest.raises(ValueError):
-        extensions(f, zero_valuation(GRAPH_SIG, 0, 1))
+        pair_extensions(f, zero_valuation(GRAPH_SIG, 0, 1))
     with pytest.raises(ValueError):
-        extensions(f, zero_valuation(GRAPH_SIG, 1, 2))
+        pair_extensions(f, zero_valuation(GRAPH_SIG, 1, 2))
+    with pytest.raises(ValueError):
+        pair_extensions(f, zero_valuation(TERNARY_SIG, 1, 1))
+    with pytest.raises(ValueError):
+        extensions([f, zero_valuation(GRAPH_SIG, 0, 2)], [zero_valuation(GRAPH_SIG, 1, 1)])
+    with pytest.raises(ValueError):
+        extensions([f, zero_valuation(TERNARY_SIG, 0, 1)], [zero_valuation(GRAPH_SIG, 1, 1)])
+    assert extensions([], [zero_valuation(GRAPH_SIG, 1, 1)]) == extensions([f], []) == []
+
+
+@pytest.mark.parametrize("sig", TEST_SIGS + (DEEP_SIG,))
+def test_tier_extensions_are_the_pairwise_ones_in_order(sig):
+    for n in range(3):
+        fs = brute_level_nodes(sig, 0, n)
+        gs = brute_level_nodes(sig, 1, n)
+        want = [(f, h) for f in fs for g in gs for h in brute_extensions(f, g)]
+        assert extensions(fs, gs) == want
 
 
 # --- counting ---------------------------------------------------------------------
@@ -402,7 +431,7 @@ def _check_derived(f, uppers, above=None):
     twins += [(f.slice_at(x), brute_slice(f, x))
               for m in range(1, f.level + 1) for x in decreasing_tuples(f.level, m)]
     for g in uppers:
-        exts = extensions(f, g)
+        exts = pair_extensions(f, g)
         assert len(exts) == f.sig.bound(f.shift, 1)
         twins += zip(exts, brute_extensions(f, g))
     top = f.level + 2
@@ -410,7 +439,8 @@ def _check_derived(f, uppers, above=None):
     hashed = hashed_extension(f, top, ("twin", f.values))
     assert hashed.level == top and hashed.extends(f)
     for h in [h for h, _ in twins] + immediate_successors(f) + [hashed]:
-        assert h == make_valuation(h.sig, h.shift, h.level, dict(h.values))
+        rebuilt = make_valuation(h.sig, h.shift, h.level, dict(h.values))
+        assert h == rebuilt and hash(h) == hash(rebuilt)
     for h, twin in twins:
         assert h == twin
     for level, nodes in (above or {}).items():
@@ -442,3 +472,57 @@ def test_extensions_interleave_lengths():
 def test_derived_nodes_match_validated_twins_on_sparse_nodes(pair):
     f, g = pair
     _check_derived(f, [g])
+
+
+# --- the node representation --------------------------------------------------------
+
+
+def test_nodes_are_slotted_and_frozen():
+    f = make_valuation(DEEP_SIG, 0, 3, {(0,): 1, (2, 1, 0): 1})
+    for node in (f, f.restrict(2), f.slice_at((2,)), level_nodes(GRAPH_SIG, 0, 2)[4],
+                 pair_extensions(f, zero_valuation(DEEP_SIG, 1, 3))[1]):
+        assert not hasattr(node, "__dict__")
+        for fld in fields(ValuationFunction):
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, fld.name, getattr(node, fld.name))
+        assert node == make_valuation(node.sig, node.shift, node.level, dict(node.values))
+
+
+@pytest.mark.parametrize("sig", TEST_SIGS + (DEEP_SIG,))
+def test_enumerated_nodes_equal_and_hash_like_their_rebuilds(sig):
+    for shift in (0, 1):
+        for n in range(4):
+            brute = brute_level_nodes(sig, shift, n)
+            derived = level_nodes(sig, shift, n)
+            assert set(derived) == set(brute) and len(derived) == len(brute)
+            for f in brute + derived:
+                rebuilt = make_valuation(f.sig, f.shift, f.level, dict(f.values))
+                assert f == rebuilt and hash(f) == hash(rebuilt)
+
+
+def test_equal_entries_under_different_signatures_differ():
+    entries = {(0,): 1, (1,): 1}
+    a = make_valuation(GRAPH_SIG, 0, 2, entries)
+    b = make_valuation(TERNARY_SIG, 0, 2, entries)
+    assert a.values == b.values and a != b
+    assert len({a, b}) == 2
+    c = a.restrict(1)
+    d = b.restrict(1)
+    assert c.values == d.values and c != d and len({c, d, a, b}) == 4
+
+
+def test_enumerated_nodes_share_their_entries():
+    # Slotted nodes whose entry pairs are shared hold a few hundred bytes
+    # each; a fresh pair tuple per entry and an instance dict took over 600.
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        nodes = level_nodes(GRAPH_SIG, 0, 8)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert len(nodes) == 3 ** 8
+    assert held / len(nodes) < 300
