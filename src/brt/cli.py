@@ -137,7 +137,7 @@ def cmd_envelope(args, cfg: Config) -> str:
     structure = _structure(args.prefix)
     subset = tuple(int(v) for v in args.subset.split(","))
     emb = build_enveloping(structure, args.k)
-    env = compute_envelope(emb, subset, cap=cfg.cap)
+    env = compute_envelope(emb, subset)
     report = {
         "k": env.k,
         "subset": list(env.subset),
@@ -153,7 +153,7 @@ def cmd_envelope(args, cfg: Config) -> str:
                    "meets": st.meets,
                    "aligned": st.aligned}
                   for st in env.stages],
-        "tree_nodes": len(env.tree.nodes) if env.tree is not None else None,
+        "tree_nodes": env.tree_nodes,
     }
     if cfg.fmt == "dot" and env.tree is not None:
         return tree_to_dot(env.tree, "envelope")

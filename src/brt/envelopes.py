@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InfeasibleError
 from .structures import EnumeratedStructure, GenericPrefix
@@ -39,6 +40,10 @@ from .valuation import (
     tier_key,
     zero_valuation,
 )
+
+# Envelopes whose valuation tree has more nodes than this are not
+# materialised: ``Envelope.tree`` and ``Envelope.tree_nodes`` are ``None``.
+MATERIALIZE_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -269,7 +274,28 @@ class Envelope:
     stages: tuple[EnvelopeStage, ...]
     witness: StrongSubtreeWitness | None
     contained: bool
-    tree: ValuationTree | None = None
+
+    @property
+    def tree_nodes(self) -> int | None:
+        """Node count of the valuation tree, without building it, or ``None``
+        without a witness or above ``MATERIALIZE_CAP``.
+
+        The tree is an isomorphic copy of the node-tree prefix of its height:
+        each coordinate's ``select`` is injective on directions, so the size
+        of every tier depends on the signature alone, not on the witness.
+        """
+        if self.witness is None:
+            return None
+        count = count_tree_nodes(self.sig, 0, self.height)
+        return count if count <= MATERIALIZE_CAP else None
+
+    @cached_property
+    def tree(self) -> ValuationTree | None:
+        """The materialised valuation tree, built on first access and then
+        kept; ``None`` exactly when ``tree_nodes`` is."""
+        if self.tree_nodes is None:
+            return None
+        return build_valuation_tree(self.witness, self.height, cap=MATERIALIZE_CAP)
 
     def contains(self, node: ValuationFunction) -> bool:
         if self.witness is None:
@@ -298,8 +324,7 @@ def _stage(sig: Signature, index: int, sliced: dict) -> EnvelopeStage:
     return EnvelopeStage(index, slices, padded, meets, provenance=prov)
 
 
-def compute_envelope(emb: EnvelopingEmbedding, subset, cap: int = DEFAULT_CAP,
-                     materialize_cap: int = 20_000) -> Envelope:
+def compute_envelope(emb: EnvelopingEmbedding, subset) -> Envelope:
     """Run the envelope cascade for a ``k``-element vertex subset.
 
     Each stage slices the previous meet closure at its lower levels, pads
@@ -307,7 +332,8 @@ def compute_envelope(emb: EnvelopingEmbedding, subset, cap: int = DEFAULT_CAP,
     stage level sets is the envelope's level set.  Every stage is completed
     to a strong subtree on that level set and the valuation tree of the
     resulting witness is the envelope; containment of the image nodes is
-    re-checked through the membership recursion rather than trusted.
+    re-checked through the membership recursion rather than trusted.  The
+    tree itself is built only when ``Envelope.tree`` is first read.
     """
     subset = tuple(sorted(subset))
     if len(subset) != emb.k:
@@ -349,11 +375,8 @@ def compute_envelope(emb: EnvelopingEmbedding, subset, cap: int = DEFAULT_CAP,
     witness = StrongSubtreeWitness(sig, level_set, tuple(coords))
 
     contained = all(val_contains(witness, f, 0, height) for f in images)
-    tree = None
-    if count_tree_nodes(sig, 0, height) <= materialize_cap:
-        tree = build_valuation_tree(witness, height, cap=materialize_cap)
     return Envelope(sig, emb.k, subset, level_set, height, tuple(stages),
-                    witness, contained, tree)
+                    witness, contained)
 
 
 def trace_invariants(env: Envelope, emb: EnvelopingEmbedding) -> dict[str, bool]:
@@ -390,8 +413,11 @@ def trace_invariants(env: Envelope, emb: EnvelopingEmbedding) -> dict[str, bool]
             src = emb.images[v].slice_at(xbar) if xbar else emb.images[v]
             if src.restrict(f.level) != f:
                 checks["elements_original_or_zero"] = False
+        # The stage's sorted tuple, not the set, so that the ``extends``
+        # calls made do not depend on hash order; top level first, since
+        # only nodes at or above ``f.level`` can extend ``f``.
         for f in e2:
-            if not any(g.extends(f) for g in e1):
+            if not any(g.extends(f) for g in reversed(st.padded)):
                 checks["elements_original_or_zero"] = False
         nonzero_levels = {f.level for f in e1 if not f.is_zero}
         if len(nonzero_levels) > max(0, emb.k - st.index):

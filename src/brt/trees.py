@@ -15,6 +15,7 @@ import gc
 import hashlib
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import InfeasibleError
 from .structures import EnumeratedStructure, RelationalLanguage, make_language, make_structure
@@ -35,6 +36,10 @@ from .valuation import (
 )
 
 DEFAULT_CAP = 10 ** 6
+
+# All nodes of a valuation-tree tier share one level, so the stored entries
+# alone give the order of ``tier_key``.
+_entries_key = attrgetter("values")
 
 
 class paused_gc:
@@ -354,7 +359,7 @@ def build_valuation_tree(witness: StrongSubtreeWitness, k: int | None = None,
     if est > cap:
         raise InfeasibleError(est, cap, "valuation tree construction")
     levels = _val_levels(witness, 0, k, cap)
-    tiers = tuple(tuple(sorted(d, key=tier_key)) for d in levels)
+    tiers = tuple(tuple(sorted(d, key=_entries_key)) for d in levels)
     return ValuationTree(witness.sig, 0, witness.levels[:k], tiers, witness)
 
 
@@ -395,7 +400,7 @@ def derived_inner_tree(tree: ValuationTree) -> ValuationTree:
         seen: dict = {}
         for u in tree.nodes_by_level[m + 1]:
             seen[u.slice_at((tree.levels[m],))] = None
-        tiers.append(tuple(sorted(seen, key=tier_key)))
+        tiers.append(tuple(sorted(seen, key=_entries_key)))
     return ValuationTree(tree.sig, tree.shift + 1, tree.levels[:k - 1], tuple(tiers))
 
 

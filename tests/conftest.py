@@ -19,6 +19,7 @@ from brt.structures import (
 )
 from hypothesis import strategies as st
 
+from brt import envelopes
 from brt.envelopes import envelope_height_bound, trace_invariants
 from brt.io import valuation_to_json
 from brt.trees import (
@@ -239,6 +240,21 @@ def envelope_report(env, emb):
                   for stage in env.stages],
         "tree_nodes": len(env.tree.nodes) if env.tree is not None else None,
     }
+
+
+@pytest.fixture
+def envelope_tree_builds(monkeypatch):
+    """The arguments of each ``build_valuation_tree`` call that an envelope
+    makes during the test, one tuple per call."""
+    built = []
+    real = envelopes.build_valuation_tree
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(envelopes, "build_valuation_tree", counting)
+    return built
 
 
 @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])

@@ -1,13 +1,14 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
 import gc
+import itertools
 import json
 import time
 from pathlib import Path
 
 import pytest
 
-from brt import cli
+from brt import cli, envelopes
 from brt import io as bio
 from brt.cli import main
 from brt.envelopes import build_enveloping, compute_envelope
@@ -22,7 +23,13 @@ from brt.trees import (
 )
 from brt.valuation import Signature
 
-from conftest import envelope_report, prefix_structure, tree_report, val_report
+from conftest import (
+    brute_tree_to_dot,
+    envelope_report,
+    prefix_structure,
+    tree_report,
+    val_report,
+)
 
 
 def run(capsys, *argv):
@@ -168,6 +175,50 @@ def test_envelope_output_matches_the_dict_form(files, tmp_path, capsys, kind, si
     want = bio.dumps_canonical(envelope_report(compute_envelope(emb, subset), emb))
     assert run(capsys, "envelope", "--prefix", path, "--k", str(k),
                "--subset", ",".join(map(str, subset))) == (0, want, "")
+
+
+def _prefix_file(tmp_path, structure) -> str:
+    path = tmp_path / "prefix.json"
+    path.write_text(bio.dumps_canonical(bio.structure_to_json(structure)))
+    return str(path)
+
+
+def test_envelope_json_and_dot_on_every_subset(tmp_path, capsys, envelope_tree_builds):
+    structure = prefix_structure("graph", 6)
+    path = _prefix_file(tmp_path, structure)
+    built = envelope_tree_builds
+    for k in (2, 3):
+        emb = build_enveloping(structure, k)
+        for subset in itertools.combinations(range(6), k):
+            argv = ("envelope", "--prefix", path, "--k", str(k),
+                    "--subset", ",".join(map(str, subset)))
+            env = compute_envelope(emb, subset)
+            want_json = bio.dumps_canonical(envelope_report(env, emb))
+            want_dot = brute_tree_to_dot(env.tree, "envelope")
+            built.clear()
+            assert run(capsys, *argv) == (0, want_json, "")
+            assert built == []
+            assert run(capsys, *argv, "--output", "dot") == (0, want_dot, "")
+            assert run(capsys, *argv, "--dot") == (0, want_dot, "")
+            assert len(built) == 2
+
+
+def test_envelope_dot_above_the_cap_prints_the_json_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(envelopes, "MATERIALIZE_CAP", 13)
+    structure = prefix_structure("graph", 6)
+    path = _prefix_file(tmp_path, structure)
+    emb = build_enveloping(structure, 3)
+    over = 0
+    for subset in itertools.combinations(range(6), 3):
+        env = compute_envelope(emb, subset)
+        if env.tree is not None:
+            continue
+        over += 1
+        want = bio.dumps_canonical(envelope_report(env, emb))
+        assert '"tree_nodes":null' in want
+        assert run(capsys, "envelope", "--prefix", path, "--k", "3", "--dot",
+                   "--subset", ",".join(map(str, subset))) == (0, want, "")
+    assert over > 0
 
 
 def test_cap_flag_and_env(files, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from brt.structures import graph_language, make_structure, uniform_language
 from brt.trees import level_nodes, sort_nodes, structural_embedding, tree_language
 from brt.valuation import (
     Signature,
+    ValuationFunction,
     comparable,
     make_valuation,
     meet,
@@ -244,6 +245,31 @@ def test_random_envelopes_contain_and_bound(kind):
         assert env.contained
         assert env.height <= envelope_height_bound(k)
         assert all(trace_invariants(env, embs[k]).values())
+
+
+def test_trace_invariant_extends_calls_do_not_depend_on_node_hashes(monkeypatch):
+    calls = []
+    real_extends = ValuationFunction.extends
+
+    def counting(self, other):
+        calls.append(None)
+        return real_extends(self, other)
+
+    def traced():
+        emb = build_enveloping(prefix_structure("ternary", 6), 3)
+        envs = [compute_envelope(emb, s) for s in itertools.combinations(range(6), 3)]
+        calls.clear()
+        verdicts = [trace_invariants(env, emb) for env in envs]
+        return verdicts, len(calls)
+
+    monkeypatch.setattr(ValuationFunction, "extends", counting)
+    want = traced()
+    assert all(all(v.values()) for v in want[0]) and want[1] > 0
+    real_hash = ValuationFunction.__hash__
+    for salt in (1, 2, 3):
+        monkeypatch.setattr(ValuationFunction, "__hash__",
+                            lambda self, salt=salt: hash((salt, real_hash(self))))
+        assert traced() == want
 
 
 def test_mixed_arity_language_envelopes():

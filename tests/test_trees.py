@@ -4,12 +4,13 @@ strong-subtree completion, and the bounded partition search."""
 import gc
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brt import trees
+from brt import envelopes, trees
 from brt.envelopes import build_enveloping, compute_envelope
 from brt.errors import InfeasibleError
 from brt.trees import (
@@ -44,6 +45,7 @@ from brt.valuation import (
     count_tree_nodes,
     make_valuation,
     meet,
+    tier_key,
     zero_valuation,
 )
 
@@ -163,6 +165,69 @@ def test_valuation_tree_matches_pairwise_construction_on_a_height_five_envelope(
     assert env.tree.nodes_by_level == brute_valuation_tree(env.witness, env.height)
 
 
+# --- envelope trees: the closed-form count and the lazy tree ---------------------------
+
+
+def _assert_count_matches_tree(env):
+    assert env.tree_nodes == count_tree_nodes(env.sig, 0, env.height)
+    assert env.tree_nodes == len(env.tree.nodes)
+
+
+@pytest.mark.parametrize("kind,n", [("graph", 6), ("ternary", 5)])
+def test_envelope_tree_nodes_match_the_materialised_tree(kind, n):
+    for env in _cascade_envelopes(kind, n):
+        _assert_count_matches_tree(env)
+
+
+def test_envelope_tree_nodes_match_on_a_height_five_envelope():
+    env = compute_envelope(build_enveloping(prefix_structure("ternary", 6), 3), (0, 1, 4))
+    assert env.height == 5 and env.tree_nodes == 11_895
+    _assert_count_matches_tree(env)
+
+
+@st.composite
+def staged_envelopes(draw):
+    kind = draw(st.sampled_from(["graph", "ternary"]))
+    n = draw(st.integers(1, 9 if kind == "graph" else 7))
+    k = draw(st.integers(1, min(3, n)))
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    return compute_envelope(build_enveloping(prefix_structure(kind, n), k), subset)
+
+
+@given(staged_envelopes())
+@settings(max_examples=30, deadline=None, database=None)
+def test_envelope_tree_nodes_match_on_staged_prefixes(env):
+    _assert_count_matches_tree(env)
+
+
+def test_envelope_tree_is_dropped_exactly_above_the_cap(monkeypatch):
+    envs = list(_cascade_envelopes("graph", 6))
+    counts = sorted({count_tree_nodes(env.sig, 0, env.height) for env in envs})
+    assert len(counts) > 1
+    for cap in counts[:-1]:
+        monkeypatch.setattr(envelopes, "MATERIALIZE_CAP", cap)
+        for env in _cascade_envelopes("graph", 6):
+            over = count_tree_nodes(env.sig, 0, env.height) > cap
+            assert (env.tree is None) == over == (env.tree_nodes is None)
+            if not over:
+                assert env.tree_nodes == len(env.tree.nodes)
+
+
+def test_envelope_without_witness_has_no_tree():
+    emb = build_enveloping(prefix_structure("graph", 3), 1)
+    env = compute_envelope(replace(emb, k=0, _verdict=None), ())
+    assert env.witness is None and env.tree is None and env.tree_nodes is None
+
+
+def test_envelope_tree_is_built_on_first_access_only(envelope_tree_builds):
+    envs = list(_cascade_envelopes("ternary", 5))
+    assert all(env.tree_nodes is not None for env in envs)
+    assert envelope_tree_builds == []
+    for i, env in enumerate(envs, 1):
+        tree = env.tree
+        assert env.tree is tree and len(envelope_tree_builds) == i
+
+
 @pytest.mark.parametrize("sig", TEST_SIGS + (DEEP_SIG,))
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_valuation_tree_matches_pairwise_construction_on_full_and_seeded(sig, k):
@@ -225,6 +290,17 @@ def test_derived_inner_tree_heights():
     tree = build_valuation_tree(seeded_witness(TERNARY_SIG, 3, 3, 1))
     inner = derived_inner_tree(tree)
     assert inner.height == 2 and inner.shift == 1
+
+
+@pytest.mark.parametrize("sig", TEST_SIGS)
+def test_derived_inner_tree_tiers_are_in_tier_order(sig):
+    for seed in range(3):
+        tree = build_valuation_tree(seeded_witness(sig, 4, 4, seed))
+        inner = derived_inner_tree(tree)
+        for m, tier in enumerate(inner.nodes_by_level):
+            slices = {u.slice_at((tree.levels[m],)) for u in tree.nodes_by_level[m + 1]}
+            assert tier == tuple(sorted(slices, key=tier_key))
+            assert len({f.level for f in tier}) == 1
 
 
 # --- strong subtree completion -------------------------------------------------------
