@@ -36,6 +36,10 @@ def seq_colour(t: SeqNode) -> int:
     return triple_colour_formula(t, len(t))
 
 
+# Filler entries of a described subtree's nodes are drawn from range(OMEGA_SPREAD).
+OMEGA_SPREAD = 10
+
+
 @dataclass(frozen=True)
 class OmegaSubtree:
     """A strong subtree of the sequence tree, described finitely.
@@ -49,7 +53,6 @@ class OmegaSubtree:
     root: SeqNode
     levels: tuple[int, ...]
     seed: int = 0
-    spread: int = 10
 
     def __post_init__(self):
         if not self.levels or self.levels[0] != len(self.root):
@@ -63,7 +66,7 @@ class OmegaSubtree:
         target = self.levels[j + 1]
         out = list(node) + [direction]
         while len(out) < target:
-            out.append(_digest((self.seed, tuple(out)), self.spread))
+            out.append(_digest((self.seed, tuple(out)), OMEGA_SPREAD))
         return tuple(out)
 
     def contains(self, t: SeqNode) -> bool:

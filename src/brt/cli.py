@@ -26,7 +26,7 @@ from .envelopes import (
 )
 from .errors import ESTIMATE_DIGITS, ESTIMATE_MAX, InfeasibleError
 from .reductions import decode_structure, encode_structure, strip_bad, unary_expand
-from .structures import GenericPrefix, enumerate_embeddings
+from .structures import ExtensionRequest, GenericPrefix, enumerate_embeddings
 from .trees import (
     DEFAULT_CAP,
     build_valuation_tree,
@@ -253,7 +253,6 @@ def radial_example(m: int):
     segment pin images down completely."""
     ctx = adv.PersistentColouringContext.fresh()
     ctx = ctx.grown(adv.GrowPrefix(adv._plain_vertex_requests(m + 1)))
-    from .structures import ExtensionRequest
     prefix = ctx.prefix
     images = []
     for i in range(1, m + 1):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InfeasibleError
-from .structures import EnumeratedStructure, GenericPrefix
+from .structures import EnumeratedStructure, GenericPrefix, enumerate_embeddings, make_structure
 from .trees import (
     DEFAULT_CAP,
     StrongSubtreeWitness,
@@ -26,6 +26,7 @@ from .trees import (
     complete_to_strong,
     induced_tree_structure,
     level_nodes,
+    tree_language,
     val_contains,
 )
 from .valuation import (
@@ -101,19 +102,21 @@ class EnvelopingEmbedding:
     images: dict[int, ValuationFunction]
     original: frozenset[int]
     branching: frozenset[int]
-    _verdict: Verdict | None = field(default=None, repr=False)
 
     @property
     def level_top(self) -> int:
         return max(self.vertex_level.values(), default=0)
 
-    def verify(self, scope=None, level_bound: int | None = None,
-               k: int | None = None) -> Verdict:
-        if scope is None and level_bound is None and k is None:
-            if self._verdict is None:
-                self._verdict = verify_k_enveloping(self)
-            return self._verdict
-        return verify_k_enveloping(self, scope, level_bound, k)
+    @cached_property
+    def _verdict(self) -> Verdict:
+        # Kept in the instance dict, not in a field, so that a copy made by
+        # ``dataclasses.replace`` checks its own images afresh.
+        return verify_k_enveloping(self)
+
+    def verify(self, k: int | None = None) -> Verdict:
+        """The enveloping check at the embedding's own ``k`` (computed once),
+        or at a given ``k``."""
+        return self._verdict if k is None else verify_k_enveloping(self, k)
 
 
 def build_enveloping(source, k: int) -> EnvelopingEmbedding:
@@ -172,13 +175,12 @@ def build_enveloping(source, k: int) -> EnvelopingEmbedding:
         frozenset(vertex_level.values()), frozenset(marker_level.values()))
 
 
-def _nonzero_slices(emb: EnvelopingEmbedding, scope, k: int
+def _nonzero_slices(emb: EnvelopingEmbedding, k: int
                     ) -> list[tuple[int, tuple, ValuationFunction]]:
     """All nonzero slices of image nodes along tuples shorter than ``k``,
     keyed by (vertex, slice tuple); only stored-entry prefixes can be nonzero."""
     out = {}
-    for v in scope:
-        f = emb.images[v]
+    for v, f in emb.images.items():
         for t, _ in f.values:
             for m in range(0, min(k, len(t))):
                 xbar = t[:m]
@@ -187,10 +189,8 @@ def _nonzero_slices(emb: EnvelopingEmbedding, scope, k: int
     return [(v, xbar, s) for (v, xbar), s in sorted(out.items())]
 
 
-def verify_k_enveloping(emb: EnvelopingEmbedding, scope=None,
-                        level_bound: int | None = None,
-                        k: int | None = None) -> Verdict:
-    """Check the enveloping conditions over the scoped vertex images.
+def verify_k_enveloping(emb: EnvelopingEmbedding, k: int | None = None) -> Verdict:
+    """Check the enveloping conditions over the vertex images.
 
     Condition one: every proper prefix (shorter than ``k``) of a stored tuple
     uses original levels only.  Condition two: every nonzero short slice
@@ -199,20 +199,16 @@ def verify_k_enveloping(emb: EnvelopingEmbedding, scope=None,
     levels.  These are exactly the quantified conditions restricted to the
     finite window; the naive quantifier form is used as a test oracle.
     """
-    if scope is None:
-        scope = sorted(emb.images)
-    if level_bound is None:
-        level_bound = emb.level_top + 1
     if k is None:
         k = emb.k
-    for v in scope:
+    for v in sorted(emb.images):
         f = emb.images[v]
         for t, _ in f.values:
             for plen in range(1, min(k, len(t))):
                 xbar = t[:plen]
                 if any(x not in emb.original for x in xbar):
                     return Verdict(False, "nonzero_slice_off_original", (v, xbar))
-    slices = _nonzero_slices(emb, scope, k)
+    slices = _nonzero_slices(emb, k)
     for v, xbar, s in slices:
         fz = s.first_branch_level()
         if fz is not None and fz not in emb.branching:
@@ -442,9 +438,6 @@ def degree_upper_bound(a: EnumeratedStructure, height: int, sig: Signature,
     """Count monotone embeddings of a hypergraph into the hypergraph induced
     on the tree prefix of the given height (the copy-count the colouring
     pipeline cannot exceed)."""
-    from .structures import enumerate_embeddings, make_structure
-    from .trees import tree_language
-
     est = count_tree_nodes(sig, 0, height)
     if est > cap:
         raise InfeasibleError(est, cap, f"tree prefix of height {height}")

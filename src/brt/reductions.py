@@ -18,6 +18,7 @@ from .structures import (
     EnumeratedStructure,
     RelationalLanguage,
     countable_symbol_name,
+    enumerate_embeddings,
     is_covered,
     make_structure,
 )
@@ -117,8 +118,12 @@ def symbol_catalogue(language: RelationalLanguage, arity: int
             for perm in sorted(itertools.permutations(range(arity)))]
 
 
-def encoded_language(language: RelationalLanguage, catalogue_cap: int = 20
-                     ) -> RelationalLanguage:
+# Largest (symbol, permutation) catalogue an arity may have: the encoded
+# language spells out one symbol per nonempty subset of it.
+CATALOGUE_CAP = 20
+
+
+def encoded_language(language: RelationalLanguage) -> RelationalLanguage:
     """The hypergraph language: unaries kept, one symbol per nonempty subset
     of the (symbol, permutation) catalogue of each arity above one."""
     if any(a >= 2 for a in language.countable_arities):
@@ -126,8 +131,8 @@ def encoded_language(language: RelationalLanguage, catalogue_cap: int = 20
     symbols = [(n, a) for n, a in language.symbols if a == 1]
     for arity in sorted({a for _, a in language.symbols if a >= 2}):
         cat = symbol_catalogue(language, arity)
-        if len(cat) > catalogue_cap:
-            raise InfeasibleError(saturated_product([(2, len(cat))]), 2 ** catalogue_cap,
+        if len(cat) > CATALOGUE_CAP:
+            raise InfeasibleError(saturated_product([(2, len(cat))]), 2 ** CATALOGUE_CAP,
                                   f"encoded language of arity {arity}")
         for r in range(1, len(cat) + 1):
             for sub in itertools.combinations(cat, r):
@@ -137,14 +142,9 @@ def encoded_language(language: RelationalLanguage, catalogue_cap: int = 20
 
 def tuple_pattern(a: EnumeratedStructure, xs: tuple[int, ...]
                   ) -> frozenset[tuple[str, tuple[int, ...]]]:
-    """The (symbol, permutation) pairs realised on an increasing tuple."""
-    n = len(xs)
-    out = set()
-    for name in a.language.symbols_of_arity(n):
-        for perm in itertools.permutations(range(n)):
-            if tuple(xs[p] for p in perm) in a.rel(name):
-                out.add((name, perm))
-    return frozenset(out)
+    """The (symbol, permutation) pairs realised on an increasing tuple: the
+    pairs of the pattern at ``xs`` whose tuples have one entry per vertex."""
+    return frozenset(pair for pair in a._index.patterns.get(xs, ()) if len(pair[1]) == len(xs))
 
 
 def encode_structure(a: EnumeratedStructure,
@@ -160,12 +160,9 @@ def encode_structure(a: EnumeratedStructure,
     for name, tuples in a.relations:
         if a.language.arity_of(name) == 1:
             rels[name] = list(tuples)
-    arities = sorted({arity for _, arity in a.language.symbols if arity >= 2})
-    for arity in arities:
-        for xs in itertools.combinations(range(a.size), arity):
-            pattern = tuple_pattern(a, xs)
-            if pattern:
-                rels.setdefault(encoded_symbol_name(pattern), []).append(xs)
+    for xs in a._index.patterns:
+        if len(xs) >= 2:
+            rels.setdefault(encoded_symbol_name(tuple_pattern(a, xs)), []).append(xs)
     return make_structure(target, a.size, rels, hypergraph=True)
 
 
@@ -211,8 +208,6 @@ def copy_isomorphism_types(m: EnumeratedStructure,
     which the original structure may carry extra (removed) tuples; the
     distinct induced types are returned in lex-minimal-representative order.
     """
-    from .structures import enumerate_embeddings
-
     g = strip_bad(m, family)
     seen: dict = {}
     for f in enumerate_embeddings(a, g):

@@ -10,6 +10,7 @@ relation per arity on a vertex set).
 from __future__ import annotations
 
 import itertools
+import random
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -139,9 +140,12 @@ class EnumeratedStructure:
         return frozenset()
 
     def related(self, name: str, t: tuple[int, ...]) -> bool:
+        """Whether ``t`` is a tuple of the named relation: its ``(name,
+        positions)`` pair in the pattern at its support."""
         if self.hypergraph:
             t = tuple(sorted(t))
-        return t in self.rel(name)
+        support = tuple(sorted(set(t)))
+        return (name, tuple(support.index(v) for v in t)) in self._index.patterns.get(support, ())
 
     def relation_items(self):
         for name, tuples in self.relations:
@@ -311,7 +315,7 @@ def gaifman_irreducible(f: EnumeratedStructure) -> bool:
 
 def is_covered(f: EnumeratedStructure) -> bool:
     """True iff a single related tuple contains every vertex of ``f``."""
-    return any(set(t) == set(range(f.size)) for _, t in f.relation_items())
+    return tuple(range(f.size)) in f._index.patterns
 
 
 # --- staged prefixes of universal structures ---------------------------------
@@ -430,27 +434,25 @@ class GenericPrefix:
         return replace(self, structure=candidate, log=self.log + (entry,))
 
     def slot_choice(self, slot: tuple[int, ...], v: int) -> int:
-        """1-based symbol index relating ``slot + (v,)``, or 0 if unrelated."""
+        """1-based symbol index relating ``slot + (v,)``, or 0 if unrelated.
+
+        A hypergraph relates a vertex set by at most one symbol of its
+        arity: the one pair of the pattern at that set."""
+        pattern = self.structure._index.patterns.get(tuple(sorted(slot + (v,))))
+        if pattern is None:
+            return 0
+        name, _ = pattern[0]
         arity = len(slot) + 1
         if arity in self.language.countable_arities:
-            for n in self.language.symbols_of_arity(arity):
-                if self.structure.related(n, slot + (v,)):
-                    return int(_NAT_SPLIT.split(n)[-2])
-            return 0
-        for j, n in enumerate(self.language.symbols_of_arity(arity), 1):
-            if self.structure.related(n, slot + (v,)):
-                return j
-        return 0
+            return int(_NAT_SPLIT.split(name)[-2])
+        return self.language.symbols_of_arity(arity).index(name) + 1
 
-    def find_vertex(self, request: ExtensionRequest, start: int | None = None) -> int | None:
+    def find_vertex(self, request: ExtensionRequest) -> int | None:
         """Existing vertex realising the extension type, if any (above the base)."""
         want: dict[tuple[int, ...], int] = dict(request.choices)
         base = request.base
-        lo = max(base) + 1 if base else 0
-        if start is not None:
-            lo = max(lo, start)
-        for v in range(lo, self.size):
-            relation_slots = [s for s in _slots(self.language, base) if s != ()]
+        relation_slots = [s for s in _slots(self.language, base) if s != ()]
+        for v in range(max(base) + 1 if base else 0, self.size):
             if all(self.slot_choice(s, v) == want.get(s, 0) for s in relation_slots):
                 return v
         return None
@@ -476,7 +478,11 @@ class GenericPrefix:
                 yield base, choices
 
 
-def generic_extend(prefix: GenericPrefix, rounds: int, max_weight: int = 64,
+# The staged enumeration looks for an unrealised extension type up to this weight.
+MAX_WEIGHT = 64
+
+
+def generic_extend(prefix: GenericPrefix, rounds: int,
                    seed: int | None = None) -> GenericPrefix:
     """Run the staged enumeration: each round realises the next unrealised
     extension type in the fixed (weight, base, choice-vector) order.
@@ -484,20 +490,18 @@ def generic_extend(prefix: GenericPrefix, rounds: int, max_weight: int = 64,
     With a seed, each round instead draws uniformly from the unrealised pairs
     of the lowest weight that has any (a fuzzing mode; still reproducible).
     """
-    import random as _random
-
-    rng = _random.Random(seed) if seed is not None else None
+    rng = random.Random(seed) if seed is not None else None
     cur = prefix
     for _ in range(rounds):
         done = cur.realized()
         pick = None
-        for weight in range(1, max_weight + 1):
+        for weight in range(1, MAX_WEIGHT + 1):
             fresh = [p for p in cur._pairs_of_weight(weight) if p not in done]
             if fresh:
                 pick = fresh[0] if rng is None else rng.choice(fresh)
                 break
         if pick is None:
-            raise RuntimeError(f"no unrealised extension within weight {max_weight}")
+            raise RuntimeError(f"no unrealised extension within weight {MAX_WEIGHT}")
         base, choices = pick
         try:
             cur = cur.realize(ExtensionRequest(base, choices))

@@ -183,20 +183,17 @@ class CompletedCoordinate:
         self.sig = sig
         self.shift = shift
         self.levels = tuple(levels)
-        self.nodes = sorted(set(nodes), key=tier_key)
+        members = set(nodes)
+        self.nodes = sorted(members, key=tier_key)
         node_levels = {f.level for f in self.nodes}
         if not node_levels <= set(self.levels):
             raise ValueError("node levels must lie inside the target level set")
         for f, g in itertools.combinations(self.nodes, 2):
-            if meet(f, g) not in self.nodes:
+            if meet(f, g) not in members:
                 raise ValueError("node set is not meet-closed")
-        if self.nodes:
-            bottom = self.nodes[0]
-            for f in self.nodes[1:]:
-                bottom = meet(bottom, f)
-            self.root = bottom.restrict(self.levels[0])
-        else:
-            self.root = None
+        # The meet of all the nodes lies in the set, at its least level, and
+        # is the one node there: first in tier order.
+        self.root = self.nodes[0].restrict(self.levels[0]) if self.nodes else None
         self._index: dict[tuple[int, int], dict] = {}
 
     def select(self, parent, direction, next_level):
@@ -322,21 +319,16 @@ class ValuationTree:
         return self.nodes_by_level[0][0]
 
 
-def _val_levels(witness: StrongSubtreeWitness, offset: int, k: int, cap: int
-                ) -> list[dict]:
+def _val_levels(witness: StrongSubtreeWitness, offset: int, k: int) -> list[dict]:
     if k == 0:
         return []
-    inner = _val_levels(witness, offset + 1, k - 1, cap)
+    inner = _val_levels(witness, offset + 1, k - 1)
     coord, levels = witness.coords[offset], witness.levels
     out: list[dict] = [{coord.root: None}]
-    total = 1
     for m in range(k - 1):
         nxt: dict = {}
         for f, h in extensions(list(out[m]), list(inner[m])):
             nxt[coord.select(f, h, levels[m + 1])] = None
-        total += len(nxt)
-        if total > cap:
-            raise InfeasibleError(total, cap, "valuation tree construction")
         out.append(nxt)
     return out
 
@@ -358,7 +350,7 @@ def build_valuation_tree(witness: StrongSubtreeWitness, k: int | None = None,
     est = count_tree_nodes(witness.sig, 0, k)
     if est > cap:
         raise InfeasibleError(est, cap, "valuation tree construction")
-    levels = _val_levels(witness, 0, k, cap)
+    levels = _val_levels(witness, 0, k)
     tiers = tuple(tuple(sorted(d, key=_entries_key)) for d in levels)
     return ValuationTree(witness.sig, 0, witness.levels[:k], tiers, witness)
 

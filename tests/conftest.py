@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from brt.structures import (
 from hypothesis import strategies as st
 
 from brt import envelopes
+from brt.reductions import encoded_language, encoded_symbol_name
 from brt.envelopes import envelope_height_bound, trace_invariants
 from brt.io import valuation_to_json
 from brt.trees import (
@@ -267,11 +269,15 @@ def gc_before(request):
     (gc.enable if was else gc.disable)()
 
 
-def random_general_structure(lang, size, rng, density=0.35):
-    """A random structure with injective (possibly asymmetric) relations."""
+def random_general_structure(lang, size, rng, density=0.35, injective=True):
+    """A random structure with (possibly asymmetric) relations, injective
+    unless ``injective`` is false."""
     rels = {}
     for name, arity in lang.symbols:
-        pool = [t for t in itertools.permutations(range(size), arity)]
+        if injective:
+            pool = itertools.permutations(range(size), arity)
+        else:
+            pool = itertools.product(range(size), repeat=arity)
         rels[name] = [t for t in pool if rng.random() < density]
     return make_structure(lang, size, rels)
 
@@ -323,6 +329,89 @@ def brute_strip_bad(m, family):
                       or not any(bad(sub) for size in range(2, len(sup) + 1)
                                  for sub in itertools.combinations(sup, size))]
     return make_structure(m.language, m.size, rels, hypergraph=m.hypergraph)
+
+
+# --- relation lookups by scanning the relations: the oracles for the
+# support-index lookups ``related``, ``slot_choice``, ``tuple_pattern``,
+# ``encode_structure`` and ``is_covered``
+
+
+def naive_related(s, name, t):
+    """Membership in the named relation's tuple set; hypergraph tuples are
+    sorted first."""
+    if s.hypergraph:
+        t = tuple(sorted(t))
+    return t in s.rel(name)
+
+
+def naive_slot_choice(prefix, slot, v):
+    """The slot's symbol by trying every symbol of its arity: the name's
+    index for a countable arity, else the 1-based rank; 0 if none."""
+    arity = len(slot) + 1
+    for j, name in enumerate(prefix.language.symbols_of_arity(arity), 1):
+        if naive_related(prefix.structure, name, slot + (v,)):
+            if arity in prefix.language.countable_arities:
+                return int(re.split(r"(\d+)", name)[-2])
+            return j
+    return 0
+
+
+def naive_tuple_pattern(a, xs):
+    """The (symbol, permutation) pairs realised on an increasing tuple, by
+    trying every symbol of its arity along every permutation."""
+    n = len(xs)
+    out = set()
+    for name in a.language.symbols_of_arity(n):
+        for perm in itertools.permutations(range(n)):
+            if tuple(xs[p] for p in perm) in a.rel(name):
+                out.add((name, perm))
+    return frozenset(out)
+
+
+def naive_encode_structure(a, target=None):
+    """The hypergraph encoding by scanning every vertex set of every arity
+    above one for its pattern."""
+    for name, t in a.relation_items():
+        if a.language.arity_of(name) >= 2 and len(set(t)) != len(t):
+            raise ValueError(f"relation tuple {t} is not injective")
+    if target is None:
+        target = encoded_language(a.language)
+    rels = {name: list(tuples) for name, tuples in a.relations
+            if a.language.arity_of(name) == 1}
+    for arity in sorted({arity for _, arity in a.language.symbols if arity >= 2}):
+        for xs in itertools.combinations(range(a.size), arity):
+            pattern = naive_tuple_pattern(a, xs)
+            if pattern:
+                rels.setdefault(encoded_symbol_name(pattern), []).append(xs)
+    return make_structure(target, a.size, rels, hypergraph=True)
+
+
+def naive_is_covered(f):
+    """Whether some relation tuple has every vertex of ``f`` among its entries."""
+    return any(set(t) == set(range(f.size)) for _, t in f.relation_items())
+
+
+# Unary, binary, ternary and mixed languages for the lookup comparisons.
+LOOKUP_LANGUAGES = (
+    make_language(("u", 1), ("w", 1)),
+    make_language(("a", 2), ("b", 2)),
+    uniform_language(3),
+    make_language(("u", 1), ("e", 2), ("t", 3)),
+)
+
+
+@st.composite
+def lookup_structures(draw, kinds=("hypergraph", "injective", "general")):
+    """A random structure over a lookup language: a hypergraph, a structure
+    with injective relations, or one whose tuples may repeat vertices."""
+    lang = draw(st.sampled_from(LOOKUP_LANGUAGES))
+    kind = draw(st.sampled_from(kinds))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(0, 5))
+    density = draw(st.sampled_from([0.15, 0.4, 0.8]))
+    if kind == "hypergraph":
+        return random_hypergraph(lang, size, rng, density)
+    return random_general_structure(lang, size, rng, density, injective=kind == "injective")
 
 
 def random_covered_structure(lang, size, rng, hypergraph):

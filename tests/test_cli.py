@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import random
 import time
 from pathlib import Path
 
@@ -24,9 +25,12 @@ from brt.trees import (
 from brt.valuation import Signature
 
 from conftest import (
+    LOOKUP_LANGUAGES,
     brute_tree_to_dot,
     envelope_report,
+    naive_encode_structure,
     prefix_structure,
+    random_general_structure,
     tree_report,
     val_report,
 )
@@ -123,6 +127,18 @@ def test_reduce_encode_of_a_huge_catalogue_exits_two(tmp_path, capsys):
     assert err == bio.dumps_canonical({"cap": 2 ** 20, "error": "infeasible",
                                        "estimate": ESTIMATE_MAX,
                                        "what": "encoded language of arity 8"})
+
+
+# Not the two-unary language: a vertex in both unaries has no hypergraph encoding.
+@pytest.mark.parametrize("lang", LOOKUP_LANGUAGES[1:], ids=["binary", "ternary", "mixed"])
+def test_reduce_encode_matches_the_scanning_encoder(tmp_path, capsys, lang):
+    rng = random.Random(11)
+    p = tmp_path / "a.json"
+    for _ in range(10):
+        a = random_general_structure(lang, rng.randint(0, 6), rng, rng.choice((0.2, 0.5)))
+        p.write_text(bio.dumps_canonical(bio.structure_to_json(a)))
+        want = bio.dumps_canonical(bio.structure_to_json(naive_encode_structure(a)))
+        assert run(capsys, "reduce", "encode", "--in", str(p)) == (0, want, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -139,7 +139,7 @@ def test_mutated_embedding_fails_with_witness():
     emb = build_enveloping(path3(), 1)
     img = emb.images[2]
     broken = make_valuation(emb.sig, 0, img.level, {(3,): 1})  # drop the marker entry
-    mutated = replace(emb, images={**emb.images, 2: broken}, _verdict=None)
+    mutated = replace(emb, images={**emb.images, 2: broken})
     verdict = mutated.verify()
     assert not verdict.ok
     assert verdict.kind == "first_branch_not_branching"
@@ -158,8 +158,8 @@ def test_prefix_mutation_breaks_condition_one():
     vals = img.value_map()
     v = vals.pop(t)
     vals[(img.level - 1, bad_level)] = 1
-    mutated = replace(emb, images={**emb.images, victim: make_valuation(emb.sig, 0, img.level, vals)},
-                      _verdict=None)
+    broken = make_valuation(emb.sig, 0, img.level, vals)
+    mutated = replace(emb, images={**emb.images, victim: broken})
     verdict = mutated.verify()
     assert not verdict.ok
 
@@ -214,7 +214,7 @@ def test_single_vertex_envelope_is_low():
 
 def test_empty_subset_gives_empty_envelope():
     emb = build_enveloping(path3(), 1)
-    emb0 = replace(emb, k=0, _verdict=None)
+    emb0 = replace(emb, k=0)
     env = compute_envelope(emb0, ())
     assert env.height == 0 and env.stages == () and env.contained
 
@@ -228,9 +228,21 @@ def test_envelope_rejects_wrong_subset_size():
 def test_envelope_rejects_unverified_embedding():
     emb = build_enveloping(path3(), 1)
     broken = make_valuation(emb.sig, 0, emb.images[2].level, {(3,): 1})
-    mutated = replace(emb, images={**emb.images, 2: broken}, _verdict=None)
+    mutated = replace(emb, images={**emb.images, 2: broken})
     with pytest.raises(ValueError):
         compute_envelope(mutated, (2,))
+
+
+def test_copy_of_verified_embedding_is_verified_afresh():
+    emb = build_enveloping(path3(), 1)
+    assert emb.verify().ok
+    broken = make_valuation(emb.sig, 0, emb.images[2].level, {(3,): 1})
+    mutated = replace(emb, images={**emb.images, 2: broken})
+    assert not mutated.verify().ok
+    assert not verify_k_enveloping(mutated).ok
+    with pytest.raises(ValueError):
+        compute_envelope(mutated, (2,))
+    assert emb.verify().ok
 
 
 @pytest.mark.parametrize("kind", ["graph", "ternary"])

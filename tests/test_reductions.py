@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brt.errors import InfeasibleError
+from brt.io import dumps_canonical, structure_to_json
 from brt.reductions import (
     decode_structure,
     encode_structure,
@@ -31,6 +32,9 @@ from brt.structures import (
 from conftest import (
     brute_induced_relations,
     brute_strip_bad,
+    lookup_structures,
+    naive_encode_structure,
+    naive_tuple_pattern,
     random_covered_structure,
     random_general_structure,
     random_hypergraph,
@@ -210,6 +214,29 @@ def test_embedding_transfer_sampled_size_four():
         b = random_general_structure(BINTER, rng.randint(a.size, 4), rng, 0.3)
         assert enumerate_embeddings(a, b) == enumerate_embeddings(
             encode_structure(a, target), encode_structure(b, target))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookup_structures())
+def test_tuple_pattern_matches_scan(a):
+    # tuples that repeat a vertex have a support shorter than their arity
+    for k in range(1, a.size + 1):
+        for xs in itertools.combinations(range(a.size), k):
+            assert tuple_pattern(a, xs) == naive_tuple_pattern(a, xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookup_structures())
+def test_encode_structure_matches_scan(a):
+    try:
+        want = naive_encode_structure(a)
+    except ValueError:
+        with pytest.raises(ValueError):
+            encode_structure(a)
+        return
+    got = encode_structure(a)
+    assert got == want
+    assert dumps_canonical(structure_to_json(got)) == dumps_canonical(structure_to_json(want))
 
 
 # --- stripping -----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brt.adversarial import GrowPrefix, PersistentColouringContext
 from brt.errors import LanguageMismatchError
 from brt.structures import (
     EnumeratedStructure,
@@ -25,8 +26,13 @@ from brt.structures import (
 )
 
 from conftest import (
+    LOOKUP_LANGUAGES,
     brute_embeddings,
     brute_induced_relations,
+    lookup_structures,
+    naive_is_covered,
+    naive_related,
+    naive_slot_choice,
     random_covered_structure,
     random_general_structure,
     random_hypergraph,
@@ -156,6 +162,76 @@ def test_path_is_reducible():
 def test_single_vertex_vacuous():
     v = graph(1, [])
     assert gaifman_irreducible(v) and not is_covered(v)
+
+
+# --- relation lookups against their scanning twins ------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookup_structures())
+def test_related_matches_scan(s):
+    # every vertex tuple of every length up to one past the arity, one
+    # vertex past the structure included, and a name outside the language
+    names = [name for name, _ in s.language.symbols] + ["zz"]
+    for length in range(1, max(a for _, a in s.language.symbols) + 2):
+        for t in itertools.product(range(s.size + 1), repeat=length):
+            for name in names:
+                assert s.related(name, t) == naive_related(s, name, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookup_structures())
+def test_is_covered_matches_scan(s):
+    for k in range(s.size + 1):
+        for vs in itertools.combinations(range(s.size), k):
+            part = s.induced(vs)
+            assert is_covered(part) == naive_is_covered(part)
+
+
+def _assert_slot_choices_match_scan(prefix):
+    n = prefix.size
+    for v in range(n):
+        for k in range(3):
+            for slot in itertools.combinations(range(n), k):
+                assert prefix.slot_choice(slot, v) == naive_slot_choice(prefix, slot, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LOOKUP_LANGUAGES + (make_language(countable_arities={1, 2}),)),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 7))
+def test_slot_choice_matches_scan_on_grown_prefixes(lang, seed, size):
+    """Prefixes grown by requests with random bases and choices; a countable
+    arity draws symbol indices with gaps, so indices and ranks differ."""
+    rng = random.Random(seed)
+    prefix = empty_prefix(lang)
+    for _ in range(size):
+        base = tuple(v for v in range(prefix.size) if rng.random() < 0.6)
+        choices = {}
+        for slot in [()] + [c for k in (1, 2) for c in itertools.combinations(base, k)]:
+            arity = len(slot) + 1
+            if arity in lang.countable_arities:
+                choices[slot] = rng.choice((0, 1, 3, 4, 7))
+            elif lang.arity_count(arity):
+                choices[slot] = rng.randint(0, lang.arity_count(arity))
+        prefix = prefix.realize(ExtensionRequest.of(base, {k: c for k, c in choices.items() if c}))
+    _assert_slot_choices_match_scan(prefix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from((0, 1, 2, 5, 9)), max_size=8), max_size=8))
+def test_colour_between_matches_scan_on_countable_binary_prefixes(colours):
+    """Countable-binary prefixes grown through the colouring context: the
+    ``i``-th new vertex joins each earlier vertex ``j`` by colour ``colours[i][j]``."""
+    ctx = PersistentColouringContext.fresh()
+    requests = []
+    for row in colours:
+        n = len(requests)
+        choices = {(j,): c for j, c in enumerate(row[:n]) if c}
+        requests.append(ExtensionRequest.of(range(n), choices))
+    ctx = ctx.grown(GrowPrefix(tuple(requests)))
+    _assert_slot_choices_match_scan(ctx.prefix)
+    for a, b in itertools.permutations(range(ctx.size), 2):
+        assert ctx.colour_between(a, b) == naive_slot_choice(ctx.prefix, (min(a, b),), max(a, b))
 
 
 # --- hypergraph invariants ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tree views: level enumeration, valuation trees, structural embeddings,
 strong-subtree completion, and the bounded partition search."""
 
+import functools
 import gc
 import itertools
 import math
@@ -215,7 +216,7 @@ def test_envelope_tree_is_dropped_exactly_above_the_cap(monkeypatch):
 
 def test_envelope_without_witness_has_no_tree():
     emb = build_enveloping(prefix_structure("graph", 3), 1)
-    env = compute_envelope(replace(emb, k=0, _verdict=None), ())
+    env = compute_envelope(replace(emb, k=0), ())
     assert env.witness is None and env.tree is None and env.tree_nodes is None
 
 
@@ -429,6 +430,8 @@ def _completed_queries(draw):
 @settings(max_examples=300, deadline=None, database=None)
 def test_completed_select_matches_scan_on_random_sets(case):
     coord, queries = case
+    # the root is the meet of every node, restricted to the first level
+    assert coord.root == functools.reduce(meet, coord.nodes).restrict(coord.levels[0])
     for direction, next_level in queries:
         _select_agrees(coord, direction.restrict(0), direction, next_level)
 
