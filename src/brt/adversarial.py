@@ -123,7 +123,6 @@ class GrowPrefix:
     """Request to grow the context prefix before retrying a witness search."""
 
     requests: tuple[ExtensionRequest, ...]
-    note: str = ""
 
 
 def infinite_binary_language():
@@ -217,7 +216,7 @@ def triple_witness(ctx: PersistentColouringContext, p: int,
     dom = sorted(f)
     if len(dom) < 2:
         if identity:
-            return GrowPrefix(_plain_vertex_requests(2 - len(dom)), "need base vertices")
+            return GrowPrefix(_plain_vertex_requests(2 - len(dom)))
         raise ValueError("embedding data too small")
     r0, r1 = dom[0], dom[1]
     w0 = seq_weight(ctx.passing_sequence(f[r1], upto=f[r0]))
@@ -225,15 +224,14 @@ def triple_witness(ctx: PersistentColouringContext, p: int,
     r2 = next((v for v in dom if v > r1 and f[v] > w0), None)
     if r2 is None:
         if identity:
-            return GrowPrefix(_plain_vertex_requests(w0 + 2), "need a vertex past the weight")
+            return GrowPrefix(_plain_vertex_requests(w0 + 2))
         raise ValueError("no vertex deep enough in the embedding data")
     n = f[r2]
 
     r3 = next((v for v in dom if v > r2 and ctx.colour_between(f[r2], f[v]) == 0), None)
     if r3 is None:
         if identity:
-            return GrowPrefix((ExtensionRequest.of((f[r2],), {}),),
-                              "need an unrelated vertex above the start")
+            return GrowPrefix((ExtensionRequest.of((f[r2],), {}),))
         raise ValueError("no unrelated vertex in the embedding data")
 
     q = n - w0 - 1 + p
@@ -264,7 +262,7 @@ def triple_witness(ctx: PersistentColouringContext, p: int,
             raise AssertionError("witness construction produced a wrong colour")
         return copy
     if identity:
-        return GrowPrefix((want,), f"need colour {q} to vertex {f[r0]}")
+        return GrowPrefix((want,))
     raise ValueError("embedding data exhausted without a witness")
 
 

@@ -209,33 +209,27 @@ def cmd_adversarial(args, cfg: Config) -> str:
                       "node": list(node),
                       "colour": adv.seq_colour(node)})
     if args.action == "inf":
-        def grown(ctx, grow):
-            size = ctx.size + len(grow.requests)
-            if size > cfg.cap:
-                raise InfeasibleError(size, cfg.cap, "adversarial inf prefix")
-            return ctx.grown(grow)
-
         ctx = adv.PersistentColouringContext.fresh()
         while ctx.size < args.prefix_size:
-            ctx = grown(ctx, adv.GrowPrefix(adv._plain_vertex_requests(1)))
+            ctx = _grown(ctx, adv.GrowPrefix(adv._plain_vertex_requests(1)), cfg, "inf")
         copies = {}
         for p in range(args.colours + 1):
             while True:
                 res = adv.triple_witness(ctx, p)
                 if isinstance(res, adv.GrowPrefix):
-                    ctx = grown(ctx, res)
+                    ctx = _grown(ctx, res, cfg, "inf")
                     continue
                 copies[str(p)] = list(res)
                 break
         return _emit({"prefix_size": ctx.size, "copies": copies})
     if args.action == "tree-like":
-        if args.identity:
-            ctx = adv.PersistentColouringContext.fresh()
-            while ctx.size < args.identity:
-                ctx = ctx.grown(adv.GrowPrefix(adv._plain_vertex_requests(1)))
-            prefix, fmap = ctx.prefix, {v: v for v in range(ctx.size)}
-        elif args.radial:
-            prefix, fmap = radial_example(args.radial)
+        if args.identity or args.radial:
+            if args.identity:
+                grow = adv.GrowPrefix(adv._plain_vertex_requests(args.identity))
+                fmap = {v: v for v in range(args.identity)}
+            else:
+                grow, fmap = radial_example(args.radial)
+            prefix = _grown(adv.PersistentColouringContext.fresh(), grow, cfg, "tree-like").prefix
         else:
             structure, fmap = bio.map_from_json(_load(args.map))
             prefix = GenericPrefix(structure)
@@ -247,18 +241,22 @@ def cmd_adversarial(args, cfg: Config) -> str:
     raise ValueError(f"unknown adversarial action {args.action}")
 
 
+def _grown(ctx, grow, cfg: Config, action: str):
+    """``ctx.grown(grow)``, or exit 2 first if the prefix would pass the cap."""
+    size = ctx.size + len(grow.requests)
+    if size > cfg.cap:
+        raise InfeasibleError(size, cfg.cap, f"adversarial {action} prefix")
+    return ctx.grown(grow)
+
+
 def radial_example(m: int):
-    """Embedding data hostile to tree-likeness: the i-th image vertex is
-    joined to vertex 0 by the i-th binary colour, so types over the initial
-    segment pin images down completely."""
-    ctx = adv.PersistentColouringContext.fresh()
-    ctx = ctx.grown(adv.GrowPrefix(adv._plain_vertex_requests(m + 1)))
-    prefix = ctx.prefix
-    images = []
-    for i in range(1, m + 1):
-        prefix = prefix.realize(ExtensionRequest.of((0,), {(0,): i}))
-        images.append(prefix.size - 1)
-    return prefix, {i: images[i - 1] for i in range(1, m + 1)}
+    """Embedding data hostile to tree-likeness, as a prefix growth and a map:
+    ``m + 1`` plain vertices, then the i-th image vertex joined to vertex 0
+    by the i-th binary colour, so types over the initial segment pin images
+    down completely."""
+    radial = tuple(ExtensionRequest.of((0,), {(0,): i}) for i in range(1, m + 1))
+    grow = adv.GrowPrefix(adv._plain_vertex_requests(m + 1) + radial)
+    return grow, {i: m + i for i in range(1, m + 1)}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InfeasibleError
-from .structures import EnumeratedStructure, GenericPrefix, enumerate_embeddings, make_structure
+from .structures import (
+    EnumeratedStructure,
+    countable_symbol_name,
+    enumerate_embeddings,
+    make_structure,
+)
 from .trees import (
     DEFAULT_CAP,
     StrongSubtreeWitness,
@@ -34,7 +39,6 @@ from .valuation import (
     ValuationFunction,
     comparable,
     count_tree_nodes,
-    language_colour,
     make_valuation,
     meet,
     signature_from_language,
@@ -62,17 +66,9 @@ def _int_sort_key(v: int) -> tuple:
     return (v, 1)
 
 
-def marker_lengths(sig: Signature, k: int) -> list[int]:
-    """Tuple lengths that need markers: those whose bound, within a window of
-    ``k`` shifts, leaves room for a reserved non-relation value."""
-    out = []
-    for m in range(1, len(sig.prefix) + 1):
-        if max(sig[m + i] for i in range(k)) >= 3:
-            out.append(m)
-    return out
-
-
 def marker_colours(sig: Signature, k: int, length: int) -> range:
+    """Marker colours of a tuple length: empty unless its bound, within a
+    window of ``k`` shifts, leaves room for a reserved non-relation value."""
     return range(1, max(sig[length + i] for i in range(k)) - 1)
 
 
@@ -119,18 +115,17 @@ class EnvelopingEmbedding:
         return self._verdict if k is None else verify_k_enveloping(self, k)
 
 
-def build_enveloping(source, k: int) -> EnvelopingEmbedding:
+def build_enveloping(structure: EnumeratedStructure, k: int) -> EnvelopingEmbedding:
     """Construct a ``k``-enveloping embedding of a finite hypergraph prefix.
 
     Levels are allocated by ranking vertices together with branching markers:
     a marker sits immediately below its leading vertex.  A vertex image reads
     each of its relations twice: the relation colour on the fully original
     tuple, and a reserved top value on the tuple that trades the relation
-    tail for its marker.
+    tail for its marker; a (sorted) tuple is read by its last vertex's image.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    structure = source.structure if isinstance(source, GenericPrefix) else source
     if not structure.hypergraph:
         raise ValueError("the source must be a hypergraph")
     if structure.language.arity_count(1) or structure.language.countable_unaries:
@@ -139,7 +134,7 @@ def build_enveloping(source, k: int) -> EnvelopingEmbedding:
     n = structure.size
 
     markers = [BranchMarker(s, xs)
-               for m in marker_lengths(sig, k)
+               for m in range(1, len(sig.prefix) + 1)
                for s in marker_colours(sig, k, m)
                for xs in itertools.combinations(range(n - 1, -1, -1), m)]
     ranked = sorted([(m.sort_key(), m) for m in markers]
@@ -152,41 +147,23 @@ def build_enveloping(source, k: int) -> EnvelopingEmbedding:
         else:
             vertex_level[item] = rank
 
-    images = {}
-    for v in range(n):
-        vals: dict[tuple[int, ...], int] = {}
-        for name, tup in structure.relation_items():
-            if max(tup) != v:
+    vals: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+    for name, tup in structure.relation_items():
+        colour = structure.language.colour_of(name)
+        rest = tup[-2::-1]
+        entries = vals[tup[-1]]
+        entries[tuple(vertex_level[x] for x in rest)] = colour
+        for m in range(min(k, len(tup) - 1)):
+            if sig[m + 1] < 2:
                 continue
-            arity, colour = language_colour(structure.language, name)
-            rest = tuple(sorted((x for x in tup if x != v), reverse=True))
-            vals[tuple(vertex_level[x] for x in rest)] = colour
-            for m in range(min(k, arity - 1)):
-                if sig[m + 1] < 2:
-                    continue
-                head, tail = rest[:m], rest[m:]
-                marker = BranchMarker(colour, tail)
-                key = tuple(vertex_level[x] for x in head) + (marker_level[marker],)
-                vals[key] = sig[m + 1] - 1
-        images[v] = make_valuation(sig, 0, vertex_level[v], vals)
+            marker = BranchMarker(colour, rest[m:])
+            key = tuple(vertex_level[x] for x in rest[:m]) + (marker_level[marker],)
+            entries[key] = sig[m + 1] - 1
+    images = {v: make_valuation(sig, 0, vertex_level[v], vals[v]) for v in range(n)}
 
     return EnvelopingEmbedding(
         k, sig, structure, vertex_level, marker_level, images,
         frozenset(vertex_level.values()), frozenset(marker_level.values()))
-
-
-def _nonzero_slices(emb: EnvelopingEmbedding, k: int
-                    ) -> list[tuple[int, tuple, ValuationFunction]]:
-    """All nonzero slices of image nodes along tuples shorter than ``k``,
-    keyed by (vertex, slice tuple); only stored-entry prefixes can be nonzero."""
-    out = {}
-    for v, f in emb.images.items():
-        for t, _ in f.values:
-            for m in range(0, min(k, len(t))):
-                xbar = t[:m]
-                if (v, xbar) not in out:
-                    out[(v, xbar)] = f.slice_at(xbar) if xbar else f
-    return [(v, xbar, s) for (v, xbar), s in sorted(out.items())]
 
 
 def verify_k_enveloping(emb: EnvelopingEmbedding, k: int | None = None) -> Verdict:
@@ -197,18 +174,24 @@ def verify_k_enveloping(emb: EnvelopingEmbedding, k: int | None = None) -> Verdi
     first branches at a branching level (its meet with any taller constant
     zero), and incomparable same-length nonzero slices meet at branching
     levels.  These are exactly the quantified conditions restricted to the
-    finite window; the naive quantifier form is used as a test oracle.
+    finite window; the naive quantifier form is used as a test oracle.  One
+    walk over the stored-tuple prefixes checks condition one in full and
+    collects the slices that can be nonzero, keyed by (vertex, prefix).
     """
     if k is None:
         k = emb.k
+    sliced: dict[tuple[int, tuple], ValuationFunction] = {}
     for v in sorted(emb.images):
         f = emb.images[v]
         for t, _ in f.values:
-            for plen in range(1, min(k, len(t))):
-                xbar = t[:plen]
-                if any(x not in emb.original for x in xbar):
+            for m in range(min(k, len(t))):
+                xbar = t[:m]
+                if (v, xbar) in sliced:
+                    continue
+                if not emb.original.issuperset(xbar):
                     return Verdict(False, "nonzero_slice_off_original", (v, xbar))
-    slices = _nonzero_slices(emb, k)
+                sliced[(v, xbar)] = f.slice_at(xbar) if xbar else f
+    slices = [(v, xbar, s) for (v, xbar), s in sorted(sliced.items())]
     for v, xbar, s in slices:
         fz = s.first_branch_level()
         if fz is not None and fz not in emb.branching:
@@ -345,16 +328,16 @@ def compute_envelope(emb: EnvelopingEmbedding, subset) -> Envelope:
     sig = emb.sig
     images = [emb.images[v] for v in subset]
     stages = [_stage(sig, 0, {f: (v, ()) for v, f in zip(subset, images)})]
-    while len(stages[-1].levels()) > 1:
+    # the first (meet, lower level) giving a slice sets its provenance
+    while len(levels := stages[-1].levels()) > 1:
         prev = stages[-1]
         sliced: dict[ValuationFunction, tuple | None] = {}
         for f in prev.meets:
-            for g in prev.meets:
-                if g.level < f.level:
-                    s = f.slice_at((g.level,))
-                    if s not in sliced:
-                        p = prev.provenance.get(f)
-                        sliced[s] = None if p is None else (p[0], p[1] + (g.level,))
+            p = prev.provenance.get(f)
+            for l in levels[:levels.index(f.level)]:
+                s = f.slice_at((l,))
+                if s not in sliced:
+                    sliced[s] = None if p is None else (p[0], p[1] + (l,))
         stages.append(_stage(sig, len(stages), sliced))
 
     level_set = tuple(sorted({l for st in stages for l in st.levels()}))
@@ -444,10 +427,10 @@ def degree_upper_bound(a: EnumeratedStructure, height: int, sig: Signature,
     lang = tree_language(sig)
     rels: dict[str, list] = {}
     for name, tuples in a.relations:
-        arity, colour = language_colour(a.language, name)
+        arity, colour = a.language.arity_of(name), a.language.colour_of(name)
         if arity < 2 or colour > sig[arity - 1] - 2:
             raise ValueError(f"symbol {name} does not fit the signature")
-        rels[f"r{arity}c{colour}"] = list(tuples)
+        rels[countable_symbol_name(arity, colour)] = list(tuples)
     relabelled = make_structure(lang, a.size, rels, hypergraph=True)
     nodes = [f for m in range(height) for f in level_nodes(sig, 0, m, cap)]
     g_h = induced_tree_structure(sig, nodes)

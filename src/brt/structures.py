@@ -32,6 +32,14 @@ def countable_symbol_name(arity: int, index: int) -> str:
     return f"r{arity}c{index}"
 
 
+def _name_index(arity: int, name: str) -> int | None:
+    """The index ``i`` with ``countable_symbol_name(arity, i) == name``, if any."""
+    digits = _NAT_SPLIT.split(name)[-2:-1]
+    if digits and countable_symbol_name(arity, int(digits[0])) == name:
+        return int(digits[0])
+    return None
+
+
 @dataclass(frozen=True)
 class RelationalLanguage:
     """A relational language: named symbols with arities >= 1.
@@ -52,16 +60,28 @@ class RelationalLanguage:
             raise ValueError("arities must be >= 1")
         canon = tuple(sorted(self.symbols, key=lambda s: (s[1], _natural_key(s[0]))))
         object.__setattr__(self, "symbols", canon)
+        # name -> (arity, colour): the index in the name for a countable
+        # arity (None if it has none), else the 1-based rank in the arity
+        object.__setattr__(self, "_place", {
+            n: (a, _name_index(a, n) if a in self.countable_arities else rank)
+            for _, group in itertools.groupby(canon, key=lambda s: s[1])
+            for rank, (n, a) in enumerate(group, 1)})
 
     @property
     def countable_unaries(self) -> bool:
         return 1 in self.countable_arities
 
     def arity_of(self, name: str) -> int:
-        for n, a in self.symbols:
-            if n == name:
-                return a
-        raise KeyError(name)
+        return self._place[name][0]
+
+    def colour_of(self, name: str) -> int:
+        """The colour a symbol codes within its arity: the index in its
+        :func:`countable_symbol_name` for a countable arity (``ValueError``
+        if the name is no such name), else its 1-based rank in its arity."""
+        arity, colour = self._place[name]
+        if colour is None:
+            raise ValueError(f"symbol {name} of countable arity {arity} is not named by an index")
+        return colour
 
     def symbols_of_arity(self, arity: int) -> tuple[str, ...]:
         return tuple(n for n, a in self.symbols if a == arity)
@@ -441,19 +461,15 @@ class GenericPrefix:
         pattern = self.structure._index.patterns.get(tuple(sorted(slot + (v,))))
         if pattern is None:
             return 0
-        name, _ = pattern[0]
-        arity = len(slot) + 1
-        if arity in self.language.countable_arities:
-            return int(_NAT_SPLIT.split(name)[-2])
-        return self.language.symbols_of_arity(arity).index(name) + 1
+        return self.language.colour_of(pattern[0][0])
 
     def find_vertex(self, request: ExtensionRequest) -> int | None:
         """Existing vertex realising the extension type, if any (above the base)."""
         want: dict[tuple[int, ...], int] = dict(request.choices)
         base = request.base
-        relation_slots = [s for s in _slots(self.language, base) if s != ()]
+        slots = _slots(self.language, base)
         for v in range(max(base) + 1 if base else 0, self.size):
-            if all(self.slot_choice(s, v) == want.get(s, 0) for s in relation_slots):
+            if all(self.slot_choice(s, v) == want.get(s, 0) for s in slots):
                 return v
         return None
 

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import InfeasibleError
-from .structures import EnumeratedStructure, RelationalLanguage, make_language, make_structure
+from .structures import (
+    EnumeratedStructure,
+    RelationalLanguage,
+    countable_symbol_name,
+    make_language,
+    make_structure,
+)
 from .valuation import (
     Signature,
     ValuationFunction,
@@ -440,7 +446,7 @@ def tree_language(sig: Signature) -> RelationalLanguage:
     symbols = []
     for i in range(2, len(sig.prefix) + 2):
         for j in range(1, sig[i - 1] - 1):
-            symbols.append((f"r{i}c{j}", i))
+            symbols.append((countable_symbol_name(i, j), i))
     return make_language(*symbols)
 
 
@@ -451,7 +457,7 @@ def induced_tree_structure(sig: Signature, nodes: list[ValuationFunction]
     reads at the lower levels (first and last values mean unrelated)."""
     ordered = sort_nodes(list(nodes))
     lang = tree_language(sig)
-    rels: dict[str, list] = {}
+    rels: dict[tuple[int, int], list] = {}   # (arity, colour) -> vertex tuples
     for arity in range(2, len(sig.prefix) + 2):
         if sig[arity - 1] < 3:
             continue
@@ -461,8 +467,9 @@ def induced_tree_structure(sig: Signature, nodes: list[ValuationFunction]
                 continue
             colour = tuple_colour(sorted(chosen, key=lambda f: -f.level))
             if 1 <= colour <= sig[arity - 1] - 2:
-                rels.setdefault(f"r{arity}c{colour}", []).append(combo)
-    return make_structure(lang, len(ordered), rels, hypergraph=True)
+                rels.setdefault((arity, colour), []).append(combo)
+    return make_structure(lang, len(ordered), {countable_symbol_name(*key): combos
+                                               for key, combos in rels.items()}, hypergraph=True)
 
 
 def sort_nodes(nodes: list[ValuationFunction]) -> list[ValuationFunction]:

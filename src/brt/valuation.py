@@ -277,12 +277,6 @@ def signature_from_language(language) -> Signature:
     return Signature(prefix, 1)
 
 
-def language_colour(language, name: str) -> tuple[int, int]:
-    """(arity, colour) of a symbol: its 1-based rank among same-arity symbols."""
-    arity = language.arity_of(name)
-    return arity, language.symbols_of_arity(arity).index(name) + 1
-
-
 def _natural(x: int, what: str) -> None:
     if x < 0:
         raise ValueError(f"{what} must be a natural number, got {x}")

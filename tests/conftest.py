@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 
 from brt import envelopes
 from brt.reductions import encoded_language, encoded_symbol_name
-from brt.envelopes import envelope_height_bound, trace_invariants
+from brt.envelopes import (
+    BranchMarker,
+    Verdict,
+    envelope_height_bound,
+    marker_colours,
+    trace_invariants,
+)
 from brt.io import valuation_to_json
 from brt.trees import (
     _vf_label,
@@ -32,7 +38,14 @@ from brt.trees import (
     level_nodes,
     zero_extension,
 )
-from brt.valuation import Signature, make_valuation, meet, tuple_sort_key, zero_valuation
+from brt.valuation import (
+    Signature,
+    comparable,
+    make_valuation,
+    meet,
+    tuple_sort_key,
+    zero_valuation,
+)
 
 GRAPH_SIG = Signature((3,))
 TERNARY_SIG = Signature((2, 3))
@@ -423,6 +436,107 @@ def random_covered_structure(lang, size, rng, hypergraph):
             for name, ts in make(lang, size, rng, 0.5).relations}
     rels.setdefault(rng.choice(lang.symbols_of_arity(size)), []).append(full)
     return make_structure(lang, size, rels, hypergraph=hypergraph)
+
+
+# --- the enveloping walks one vertex, one slice pass and one meet pair at a
+# time: the oracles for ``build_enveloping``, ``verify_k_enveloping`` and the
+# cascade slicing of ``compute_envelope``
+
+
+def naive_marker_levels(sig, k, n):
+    """Vertex and marker levels, markers drawn only for the tuple lengths
+    whose bound within ``k`` shifts is at least 3."""
+    lengths = [m for m in range(1, len(sig.prefix) + 1)
+               if max(sig[m + i] for i in range(k)) >= 3]
+    markers = [BranchMarker(s, xs) for m in lengths for s in marker_colours(sig, k, m)
+               for xs in itertools.combinations(range(n - 1, -1, -1), m)]
+    ranked = sorted([(m.sort_key(), m) for m in markers] + [((v, 1), v) for v in range(n)])
+    vertex_level = {item: r for r, (_, item) in enumerate(ranked) if isinstance(item, int)}
+    marker_level = {item: r for r, (_, item) in enumerate(ranked)
+                    if isinstance(item, BranchMarker)}
+    return vertex_level, marker_level
+
+
+def naive_enveloping_images(emb):
+    """Each vertex image by its own pass over every relation tuple, keeping
+    the tuples whose largest vertex it is; a colour is the symbol's 1-based
+    rank among the symbols of its arity."""
+    s, sig, k = emb.structure, emb.sig, emb.k
+    images = {}
+    for v in range(s.size):
+        vals = {}
+        for name, tup in s.relation_items():
+            if max(tup) != v:
+                continue
+            arity = s.language.arity_of(name)
+            colour = s.language.symbols_of_arity(arity).index(name) + 1
+            rest = tuple(sorted((x for x in tup if x != v), reverse=True))
+            vals[tuple(emb.vertex_level[x] for x in rest)] = colour
+            for m in range(min(k, arity - 1)):
+                if sig[m + 1] < 2:
+                    continue
+                marker = BranchMarker(colour, rest[m:])
+                key = tuple(emb.vertex_level[x] for x in rest[:m]) + (emb.marker_level[marker],)
+                vals[key] = sig[m + 1] - 1
+        images[v] = make_valuation(sig, 0, emb.vertex_level[v], vals)
+    return images
+
+
+def naive_verify_k_enveloping(emb, k=None):
+    """The enveloping verdict with condition one checked on every proper
+    prefix, then a separate pass collecting the nonzero slices."""
+    if k is None:
+        k = emb.k
+    for v in sorted(emb.images):
+        f = emb.images[v]
+        for t, _ in f.values:
+            for plen in range(1, min(k, len(t))):
+                xbar = t[:plen]
+                if any(x not in emb.original for x in xbar):
+                    return Verdict(False, "nonzero_slice_off_original", (v, xbar))
+    out = {}
+    for v, f in emb.images.items():
+        for t, _ in f.values:
+            for m in range(0, min(k, len(t))):
+                xbar = t[:m]
+                if (v, xbar) not in out:
+                    out[(v, xbar)] = f.slice_at(xbar) if xbar else f
+    slices = [(v, xbar, s) for (v, xbar), s in sorted(out.items())]
+    for v, xbar, s in slices:
+        fz = s.first_branch_level()
+        if fz is not None and fz not in emb.branching:
+            return Verdict(False, "first_branch_not_branching", (v, xbar, fz))
+    for (v1, x1, s1), (v2, x2, s2) in itertools.combinations(slices, 2):
+        if len(x1) == len(x2) and not comparable(s1, s2):
+            lvl = meet(s1, s2).level
+            if lvl not in emb.branching:
+                return Verdict(False, "meet_not_branching", (v1, x1, v2, x2, lvl))
+    return Verdict(True)
+
+
+def naive_cascade(emb, subset):
+    """The cascade stages, each later stage slicing every meet at the level
+    of every lower meet, one pair at a time; ``aligned`` restricts the meets
+    to the union of the stage level sets."""
+    sig = emb.sig
+    images = [emb.images[v] for v in subset]
+    stages = [envelopes._stage(sig, 0, {f: (v, ()) for v, f in zip(subset, images)})]
+    while len(stages[-1].levels()) > 1:
+        prev = stages[-1]
+        sliced = {}
+        for f in prev.meets:
+            for g in prev.meets:
+                if g.level < f.level:
+                    s = f.slice_at((g.level,))
+                    if s not in sliced:
+                        p = prev.provenance.get(f)
+                        sliced[s] = None if p is None else (p[0], p[1] + (g.level,))
+        stages.append(envelopes._stage(sig, len(stages), sliced))
+    level_set = sorted({l for st in stages for l in st.levels()})
+    for st in stages:
+        st.aligned = envelopes._dedup(f.restrict(l) for f in st.meets
+                                      for l in level_set if l <= f.level)
+    return stages
 
 
 _PREFIX_CACHE: dict = {}

@@ -91,6 +91,28 @@ def test_degree_examples(files, capsys):
     assert code == 0 and json.loads(out)["count"] == 1
 
 
+@pytest.mark.parametrize("name,error", [
+    ("r2c1", None),
+    ("r2c5", "symbol r2c5 does not fit the signature"),
+    ("e", "symbol e of countable arity 2 is not named by an index"),
+    ("r2c05", "symbol r2c05 of countable arity 2 is not named by an index"),
+])
+def test_degree_reads_a_countable_symbol_by_its_index(files, tmp_path, capsys, name, error):
+    """A countable arity codes colours by the index in the symbol's name, not
+    by its rank: ``r2c5`` alone is colour 5, which a bound of 3 cannot hold,
+    and a name that is no symbol index is an input error."""
+    lang = make_language((name, 2), countable_arities={2})
+    s = make_structure(lang, 2, {name: [(0, 1)]}, hypergraph=True)
+    p = tmp_path / "countable.json"
+    p.write_text(bio.dumps_canonical(bio.structure_to_json(s)))
+    argv = ("--sigma", "3", "--height", "3")
+    got = run(capsys, "degree", "--a", str(p), *argv)
+    if error is None:
+        assert got == run(capsys, "degree", "--a", files["edge"], *argv)
+    else:
+        _one_line_error(*got, error)
+
+
 def test_infeasible_exit_carries_cap_and_estimate(files, capsys):
     code, out, err = run(capsys, "degree", "--a", files["edge"], "--height", "17")
     assert code == 2 and out == ""
@@ -338,6 +360,31 @@ def test_inf_prefix_growth_stops_at_the_cap(capsys):
     _, default, _ = run(capsys, "adversarial", "inf")
     assert run(capsys, "adversarial", "inf", "--cap", "10") == (0, default, "")
     assert json.loads(default)["prefix_size"] == 10
+
+
+@pytest.mark.parametrize("argv,estimate", [
+    (("--identity", "4000"), 4000),
+    (("--radial", "1000"), 2001),
+])
+def test_tree_like_prefix_growth_stops_at_the_cap(capsys, argv, estimate):
+    """The prefix size is checked before any vertex is built: ``--identity N``
+    builds N vertices, ``--radial M`` builds 2M+1."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "adversarial", "tree-like", *argv, "--cap", "10")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f'{{"cap":10,"error":"infeasible","estimate":{estimate},'
+                   '"what":"adversarial tree-like prefix"}\n')
+
+
+@pytest.mark.parametrize("argv,cap", [(("--identity", "10"), 10), (("--radial", "4"), 9)])
+def test_tree_like_prefix_at_the_cap_runs(capsys, argv, cap):
+    _, default, _ = run(capsys, "adversarial", "tree-like", *argv, "--bound", "6")
+    assert run(capsys, "adversarial", "tree-like", *argv, "--bound", "6",
+               "--cap", str(cap)) == (0, default, "")
+    code, out, _ = run(capsys, "adversarial", "tree-like", *argv, "--bound", "6",
+                       "--cap", str(cap - 1))
+    assert (code, out) == (2, "")
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brt.envelopes import (
     BranchMarker,
@@ -16,7 +18,7 @@ from brt.envelopes import (
     verify_k_enveloping,
 )
 from brt.errors import InfeasibleError
-from brt.structures import graph_language, make_structure, uniform_language
+from brt.structures import graph_language, make_language, make_structure, uniform_language
 from brt.trees import level_nodes, sort_nodes, structural_embedding, tree_language
 from brt.valuation import (
     Signature,
@@ -27,7 +29,17 @@ from brt.valuation import (
     zero_valuation,
 )
 
-from conftest import GRAPH_SIG, is_structural, prefix_structure, tree_embeddings_brute
+from conftest import (
+    GRAPH_SIG,
+    is_structural,
+    naive_cascade,
+    naive_enveloping_images,
+    naive_marker_levels,
+    naive_verify_k_enveloping,
+    prefix_structure,
+    random_hypergraph,
+    tree_embeddings_brute,
+)
 
 
 def path3():
@@ -169,6 +181,104 @@ def test_monotone_k_consistency():
         emb = build_enveloping(prefix_structure(kind, 8), 3)
         for smaller in (1, 2, 3):
             assert emb.verify(k=smaller).ok
+
+
+# --- the one-pass walks against their twins ---------------------------------------
+
+
+# The prefix sizes the tests above build embeddings of.
+ENVELOPE_SIZES = (3, 5, 6, 8, 9, 10)
+# Graph, ternary, mixed-arity and two-colour binary languages.
+ENVELOPE_LANGUAGES = (
+    graph_language(),
+    uniform_language(3),
+    make_language(("e", 2), ("t", 3)),
+    make_language(("a", 2), ("b", 2)),
+)
+VERDICT_KINDS = {None, "nonzero_slice_off_original", "first_branch_not_branching",
+                 "meet_not_branching"}
+
+
+def _mutated(emb, rng, count):
+    """``emb`` with ``count`` random entries of its images overwritten: each
+    at a decreasing tuple of levels below the image's level, with a random
+    value (zero drops the entry)."""
+    sig, images = emb.sig, dict(emb.images)
+    for _ in range(count):
+        v = rng.choice(sorted(images))
+        f = images[v]
+        length = rng.randint(1, len(sig.prefix))
+        if length > f.level:
+            continue
+        t = tuple(sorted(rng.sample(range(f.level), length), reverse=True))
+        vals = f.value_map()
+        vals[t] = rng.randrange(sig.bound(0, length))
+        images[v] = make_valuation(sig, 0, f.level, vals)
+    return replace(emb, images=images)
+
+
+def _assert_walks_match_twins(emb):
+    assert (emb.vertex_level, emb.marker_level) == naive_marker_levels(
+        emb.sig, emb.k, emb.structure.size)
+    assert emb.images == naive_enveloping_images(emb)
+    for j in (1, 2, 3):
+        assert verify_k_enveloping(emb, j) == naive_verify_k_enveloping(emb, j)
+
+
+def _assert_cascade_matches_twin(emb, subset):
+    env = compute_envelope(emb, subset)
+    twin = naive_cascade(emb, subset)
+    assert len(env.stages) == len(twin)
+    for got, want in zip(env.stages, twin):
+        assert (got.slices, got.padded, got.meets, got.aligned) == (
+            want.slices, want.padded, want.meets, want.aligned)
+        assert list(got.provenance.items()) == list(want.provenance.items())
+
+
+@pytest.mark.parametrize("kind", ["graph", "ternary"])
+@pytest.mark.parametrize("n", ENVELOPE_SIZES)
+def test_one_pass_walks_match_their_twins(kind, n):
+    structure = prefix_structure(kind, n)
+    rng = random.Random(n)
+    for k in (1, 2, 3):
+        emb = build_enveloping(structure, k)
+        _assert_walks_match_twins(emb)
+        subsets = list(itertools.combinations(range(n), k))
+        for subset in subsets if len(subsets) <= 12 else rng.sample(subsets, 12):
+            _assert_cascade_matches_twin(emb, subset)
+
+
+def test_verifier_matches_twin_on_mutated_embeddings():
+    kinds = set()
+    for kind in ("graph", "ternary"):
+        for n in ENVELOPE_SIZES:
+            for k in (1, 2, 3):
+                emb = build_enveloping(prefix_structure(kind, n), k)
+                for seed in range(6):
+                    mutated = _mutated(emb, random.Random(seed), 1 + seed % 3)
+                    for j in (1, 2, 3):
+                        got = verify_k_enveloping(mutated, j)
+                        assert got == naive_verify_k_enveloping(mutated, j)
+                        kinds.add(got.kind)
+    assert kinds == VERDICT_KINDS
+
+
+@settings(max_examples=40, deadline=None)
+@given(lang=st.sampled_from(ENVELOPE_LANGUAGES), n=st.integers(1, 7), k=st.integers(1, 3),
+       density=st.sampled_from([0.2, 0.5, 0.9]), seed=st.integers(0, 2 ** 32 - 1),
+       mutations=st.integers(1, 4), data=st.data())
+def test_one_pass_walks_match_twins_on_drawn_hypergraphs(lang, n, k, density, seed,
+                                                          mutations, data):
+    rng = random.Random(seed)
+    emb = build_enveloping(random_hypergraph(lang, n, rng, density), k)
+    _assert_walks_match_twins(emb)
+    mutated = _mutated(emb, rng, mutations)
+    for j in (1, 2, 3):
+        assert verify_k_enveloping(mutated, j) == naive_verify_k_enveloping(mutated, j)
+    if k <= n and emb.verify().ok:
+        subset = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                                    unique=True))
+        _assert_cascade_matches_twin(emb, tuple(sorted(subset)))
 
 
 # --- the height bound ----------------------------------------------------------------

@@ -196,13 +196,9 @@ def _assert_slot_choices_match_scan(prefix):
                 assert prefix.slot_choice(slot, v) == naive_slot_choice(prefix, slot, v)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(LOOKUP_LANGUAGES + (make_language(countable_arities={1, 2}),)),
-       st.integers(0, 2 ** 32 - 1), st.integers(0, 7))
-def test_slot_choice_matches_scan_on_grown_prefixes(lang, seed, size):
-    """Prefixes grown by requests with random bases and choices; a countable
+def _randomly_grown(lang, rng, size):
+    """A prefix grown by requests with random bases and choices; a countable
     arity draws symbol indices with gaps, so indices and ranks differ."""
-    rng = random.Random(seed)
     prefix = empty_prefix(lang)
     for _ in range(size):
         base = tuple(v for v in range(prefix.size) if rng.random() < 0.6)
@@ -214,7 +210,16 @@ def test_slot_choice_matches_scan_on_grown_prefixes(lang, seed, size):
             elif lang.arity_count(arity):
                 choices[slot] = rng.randint(0, lang.arity_count(arity))
         prefix = prefix.realize(ExtensionRequest.of(base, {k: c for k, c in choices.items() if c}))
-    _assert_slot_choices_match_scan(prefix)
+    return prefix
+
+
+GROWN_LANGUAGES = LOOKUP_LANGUAGES + (make_language(countable_arities={1, 2}),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GROWN_LANGUAGES), st.integers(0, 2 ** 32 - 1), st.integers(0, 7))
+def test_slot_choice_matches_scan_on_grown_prefixes(lang, seed, size):
+    _assert_slot_choices_match_scan(_randomly_grown(lang, random.Random(seed), size))
 
 
 @settings(max_examples=100, deadline=None)
@@ -300,6 +305,50 @@ def test_targeted_realize_and_find_vertex():
     p = p.realize(req)
     assert p.find_vertex(req) == 2
     assert p.structure.related("e", (0, 2))
+
+
+def test_find_vertex_compares_the_unary_slot():
+    p = empty_prefix(make_language(("u", 1), ("w", 1), ("e", 2)))
+    p = p.realize(ExtensionRequest.of((), {(): 1}))
+    p = p.realize(ExtensionRequest.of((), {(): 2}))
+    assert p.find_vertex(ExtensionRequest.of((), {(): 2})) == 1
+    assert p.find_vertex(ExtensionRequest.of((), {(): 1})) == 0
+    assert p.find_vertex(ExtensionRequest.of((), {})) is None
+    p = p.realize(ExtensionRequest.of((0,), {(): 1, (0,): 1}))
+    assert p.find_vertex(ExtensionRequest.of((0,), {(): 2, (0,): 1})) is None
+    assert p.find_vertex(ExtensionRequest.of((0,), {(): 1, (0,): 1})) == 2
+    assert p.find_vertex(ExtensionRequest.of((0,), {(): 2})) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GROWN_LANGUAGES), st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
+def test_find_vertex_matches_scan_on_grown_prefixes(lang, seed, size):
+    """Each vertex's own type over a random base below it, asked for again:
+    the answer is the first vertex above the base that carries the same
+    symbol (or none) on every slot, the unary slot included."""
+    rng = random.Random(seed)
+    prefix = _randomly_grown(lang, rng, size)
+    for v in range(prefix.size):
+        base = tuple(u for u in range(v) if rng.random() < 0.6)
+        slots = [()] + [c for k in (1, 2) for c in itertools.combinations(base, k)]
+        want = {s: naive_slot_choice(prefix, s, v) for s in slots}
+        request = ExtensionRequest.of(base, {s: c for s, c in want.items() if c})
+        first = next(u for u in range(max(base, default=-1) + 1, prefix.size)
+                     if all(naive_slot_choice(prefix, s, u) == c for s, c in want.items()))
+        assert prefix.find_vertex(request) == first <= v
+
+
+def test_colour_of_is_the_index_for_countable_arities_and_the_rank_otherwise():
+    lang = make_language(("b", 2), ("a", 2), ("u", 1), ("t", 3), countable_arities={4})
+    assert [lang.colour_of(n) for n in ("a", "b", "u", "t")] == [1, 2, 1, 1]
+    lang = lang.with_countable_symbol(4, 7).with_countable_symbol(4, 2)
+    assert (lang.colour_of("r4c7"), lang.colour_of("r4c2")) == (7, 2)
+    assert [lang.arity_of(n) for n in ("a", "u", "t", "r4c7")] == [2, 1, 3, 4]
+    for lookup in (lang.colour_of, lang.arity_of):
+        with pytest.raises(KeyError):
+            lookup("missing")
+    with pytest.raises(ValueError):
+        lang.with_symbol("q", 4).colour_of("q")
 
 
 def test_forbidden_family_blocks_realization():
