@@ -11,6 +11,7 @@ constructions, executed and re-checked rather than trusted.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .structures import (
@@ -294,25 +295,41 @@ def is_tree_like(prefix: GenericPrefix, f: dict[int, int], bound: int
     if any(f[a] >= f[b] for a, b in zip(dom, dom[1:])):
         raise ValueError("embedding data must be monotone")
     checked = 0
-    window = [v for v in dom if v < bound]
+    end = bisect_left(dom, bound)
+    window = dom[:end]
+    # per a: the type of each f[v], v >= a, over the initial segment below f[a]
+    rows: dict[int, dict[int, tuple]] = {}
     for r in range(1, len(window) + 1):
         for xs in itertools.combinations(window, r):
             xs_range = range(xs[-1] + 1, min(bound, structure.size))
             if not xs_range:
                 continue
+            if xs[0] not in rows:
+                init = tuple(range(f[xs[0]]))
+                rows[xs[0]] = {v: tp(init + (f[v],)) for v in dom[dom.index(xs[0]):end]}
+            row = rows[xs[0]]
             image = tuple(f[v] for v in xs)
-            init = tuple(range(f[xs[0]]))
-            pivots = [tp(init + (f[v],)) for v in xs]
+            pivots = [row[v] for v in xs]
             # for each later domain vertex y: its type over the image, and
-            # over the initial segment below the least image
-            later = [(tp(image + (f[y],)), tp(init + (f[y],)))
-                     for y in dom if xs[-1] < y < bound]
+            # over the initial segment below the least image; the types
+            # over the image are kept for the extensions of xs they equal
+            types: dict[tuple[int, ...], tuple] = {}
+            later = set()
+            for y in dom[bisect_right(dom, xs[-1]):end]:
+                over_image = types[image + (f[y],)] = tp(image + (f[y],))
+                later.add((over_image, row[y]))
+            # per extension type: the first pivot it misses, or None
+            missing: dict[tuple, int | None] = {}
             for x in xs_range:
-                over_xs = tp(xs + (x,))
-                for i in range(len(xs)):
-                    checked += 1
-                    if (over_xs, pivots[i]) not in later:
-                        return TreeLikeVerdict("fail", (xs, i, x), checked)
+                ext = xs + (x,)
+                over_xs = types[ext] if ext in types else tp(ext)
+                if over_xs not in missing:
+                    missing[over_xs] = next((i for i, pivot in enumerate(pivots)
+                                             if (over_xs, pivot) not in later), None)
+                i = missing[over_xs]
+                if i is not None:
+                    return TreeLikeVerdict("fail", (xs, i, x), checked + i + 1)
+                checked += len(xs)
     if checked == 0:
         return TreeLikeVerdict("inconclusive", None, 0)
     return TreeLikeVerdict("pass", None, checked)

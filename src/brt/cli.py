@@ -194,10 +194,17 @@ def _parse_node(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(p) for p in text.split(","))
+    node = tuple(int(p) for p in text.split(","))
+    if any(v < 0 for v in node):
+        raise ValueError(f"--node entries must be natural numbers, got {text}")
+    return node
 
 
 def cmd_adversarial(args, cfg: Config) -> str:
+    for option in ("colour", "height", "prefix_size", "colours", "bound", "identity", "radial"):
+        value = getattr(args, option)
+        if value is not None and value < 0:
+            raise ValueError(f"--{option.replace('_', '-')} must be a natural number, got {value}")
     if args.action == "hl":
         node = _parse_node(args.node)
         return _emit({"colour": adv.seq_colour(node)})
@@ -223,14 +230,16 @@ def cmd_adversarial(args, cfg: Config) -> str:
                 break
         return _emit({"prefix_size": ctx.size, "copies": copies})
     if args.action == "tree-like":
-        if args.identity or args.radial:
-            if args.identity:
+        if args.identity is not None or args.radial is not None:
+            if args.identity is not None:
                 grow = adv.GrowPrefix(adv._plain_vertex_requests(args.identity))
                 fmap = {v: v for v in range(args.identity)}
             else:
                 grow, fmap = radial_example(args.radial)
             prefix = _grown(adv.PersistentColouringContext.fresh(), grow, cfg, "tree-like").prefix
         else:
+            if args.map is None:
+                raise ValueError("tree-like needs --identity, --radial or --map")
             structure, fmap = bio.map_from_json(_load(args.map))
             prefix = GenericPrefix(structure)
         verdict = adv.is_tree_like(prefix, fmap, args.bound)

@@ -12,15 +12,16 @@ full trace for independent re-checking.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 
 from .errors import InfeasibleError
 from .structures import (
     EnumeratedStructure,
     countable_symbol_name,
-    enumerate_embeddings,
     make_structure,
 )
 from .trees import (
@@ -29,8 +30,6 @@ from .trees import (
     ValuationTree,
     build_valuation_tree,
     complete_to_strong,
-    induced_tree_structure,
-    level_nodes,
     tree_language,
     val_contains,
 )
@@ -39,6 +38,7 @@ from .valuation import (
     ValuationFunction,
     comparable,
     count_tree_nodes,
+    decreasing_tuples,
     make_valuation,
     meet,
     signature_from_language,
@@ -420,7 +420,18 @@ def degree_upper_bound(a: EnumeratedStructure, height: int, sig: Signature,
                        cap: int = DEFAULT_CAP) -> int:
     """Count monotone embeddings of a hypergraph into the hypergraph induced
     on the tree prefix of the given height (the copy-count the colouring
-    pipeline cannot exceed)."""
+    pipeline cannot exceed).
+
+    The count is a sum over level profiles; neither the hypergraph nor its
+    nodes are built.  Node order puts lower levels first, so an embedding
+    gives ``a``'s vertices non-decreasing levels, and a relation needs
+    distinct levels.  A vertex set of a related arity whose levels are
+    distinct constrains its top vertex's value at the decreasing tuple of
+    the other levels: its colour if ``a`` relates it, else 0 or bound - 1.
+    The vertices of one level are independent of the other levels, so a
+    profile counts the product, over its levels, of the strictly increasing
+    node sequences that meet their vertices' constraints.
+    """
     est = count_tree_nodes(sig, 0, height)
     if est > cap:
         raise InfeasibleError(est, cap, f"tree prefix of height {height}")
@@ -432,6 +443,71 @@ def degree_upper_bound(a: EnumeratedStructure, height: int, sig: Signature,
             raise ValueError(f"symbol {name} does not fit the signature")
         rels[countable_symbol_name(arity, colour)] = list(tuples)
     relabelled = make_structure(lang, a.size, rels, hypergraph=True)
-    nodes = [f for m in range(height) for f in level_nodes(sig, 0, m, cap)]
-    g_h = induced_tree_structure(sig, nodes)
-    return len(enumerate_embeddings(relabelled, g_h))
+    colours = {t: lang.colour_of(name) for name, t in relabelled.relation_items()}
+    vertex_sets = [s for arity in range(2, len(sig.prefix) + 2) if sig[arity - 1] >= 3
+                   for s in itertools.combinations(range(a.size), arity)]
+    if not vertex_sets:
+        # No vertex set can be related, so every increasing map embeds.  (With
+        # every bound 1 a level holds one node, so the height, and the number
+        # of level profiles, may be as large as the cap.)
+        return comb(est, a.size)
+    total = 0
+    for profile in itertools.combinations_with_replacement(range(height), a.size):
+        # per vertex: the values it may take at each constrained tuple
+        allowed: list[dict] = [{} for _ in profile]
+        for s in vertex_sets:
+            levels = [profile[v] for v in s]
+            if len(set(levels)) < len(s):
+                if s in colours:
+                    break
+                continue
+            bound = sig[len(s) - 1]
+            ok = {colours[s]} if s in colours else {0, bound - 1}
+            key = tuple(levels[-2::-1])
+            allowed[s[-1]][key] = allowed[s[-1]].get(key, ok) & ok
+        else:
+            count = 1
+            for level, group in itertools.groupby(range(a.size), key=profile.__getitem__):
+                count *= _increasing_sequences(sig, level, [allowed[v] for v in group])
+                if not count:
+                    break
+            total += count
+    return total
+
+
+def _increasing_sequences(sig: Signature, level: int, allowed: list[dict]) -> int:
+    """The number of strictly increasing sequences of level-``level`` nodes,
+    in node order, whose i-th node's value at each tuple of ``allowed[i]``
+    lies in the given set.
+
+    Nodes of one level are ordered by their values along the tuples in
+    (length, lex) order, so the count runs over those tuples: nodes still
+    equal at one tuple take non-decreasing values there and split into runs
+    of equal values, and each run is counted on from the next tuple.  A run
+    of more than one node at the end is not strictly increasing.
+    """
+    tuples = [t for length in sig.tracked_lengths(0, level)
+              for t in sorted(decreasing_tuples(level, length))]
+
+    @functools.cache
+    def run(i: int, j: int, p: int) -> int:
+        # nodes i..j-1 are equal on the tuples before the p-th
+        if p == len(tuples):
+            return int(j - i == 1)
+        return runs(i, j, p, 0)
+
+    @functools.cache
+    def runs(i: int, j: int, p: int, low: int) -> int:
+        # nodes i..j-1 take non-decreasing values of at least ``low`` at the
+        # p-th tuple, grouped into runs of equal values
+        if i == j:
+            return 1
+        t = tuples[p]
+        values = set(range(low, sig[len(t)]))
+        total = 0
+        for m in range(i + 1, j + 1):
+            values &= allowed[m - 1].get(t, values)
+            total += sum(run(i, m, p + 1) * runs(m, j, p, c + 1) for c in values)
+        return total
+
+    return run(0, len(allowed), 0)

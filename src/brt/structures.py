@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import comb
@@ -40,6 +41,11 @@ def _name_index(arity: int, name: str) -> int | None:
     return None
 
 
+def _symbol_key(symbol: tuple[str, int]) -> tuple:
+    """Canonical symbol order: arity, then the name's natural order."""
+    return (symbol[1], _natural_key(symbol[0]))
+
+
 @dataclass(frozen=True)
 class RelationalLanguage:
     """A relational language: named symbols with arities >= 1.
@@ -58,7 +64,7 @@ class RelationalLanguage:
             raise ValueError("symbol names must be unique")
         if any(a < 1 for _, a in self.symbols):
             raise ValueError("arities must be >= 1")
-        canon = tuple(sorted(self.symbols, key=lambda s: (s[1], _natural_key(s[0]))))
+        canon = tuple(sorted(self.symbols, key=_symbol_key))
         object.__setattr__(self, "symbols", canon)
         # name -> (arity, colour): the index in the name for a countable
         # arity (None if it has none), else the 1-based rank in the arity
@@ -96,9 +102,25 @@ class RelationalLanguage:
         return tuple(sorted(present))
 
     def with_symbol(self, name: str, arity: int) -> "RelationalLanguage":
-        if any(n == name for n, _ in self.symbols):
+        """This language plus one symbol, placed in the canonical order by
+        bisection; only the colours of the symbol's arity are recomputed."""
+        if name in self._place:
             return self
-        return replace(self, symbols=self.symbols + ((name, arity),))
+        if arity < 1:
+            raise ValueError("arities must be >= 1")
+        at = bisect_right(self.symbols, _symbol_key((name, arity)), key=_symbol_key)
+        symbols = self.symbols[:at] + ((name, arity),) + self.symbols[at:]
+        place = dict(self._place)
+        if arity in self.countable_arities:
+            place[name] = (arity, _name_index(arity, name))
+        else:
+            group = [n for n, a in symbols if a == arity]
+            place.update((n, (arity, rank)) for rank, n in enumerate(group, 1))
+        lang = object.__new__(RelationalLanguage)
+        object.__setattr__(lang, "symbols", symbols)
+        object.__setattr__(lang, "countable_arities", self.countable_arities)
+        object.__setattr__(lang, "_place", place)
+        return lang
 
     def with_countable_symbol(self, arity: int, index: int) -> "RelationalLanguage":
         if arity not in self.countable_arities:
@@ -235,6 +257,70 @@ class _SupportIndex:
             self.by_size.setdefault(len(s), []).append(s)
         # position of each symbol in the structure's canonical relation order
         self.name_order = {name: i for i, (name, _) in enumerate(structure.relations)}
+
+
+def _derived(parent: EnumeratedStructure, language: RelationalLanguage,
+             added: dict[str, list[tuple[int, ...]]]) -> EnumeratedStructure:
+    """The trusted constructor for growth: the hypergraph ``parent`` plus one
+    new vertex, ``parent.size``, whose tuples ``added`` lists by name (each
+    list sorted and nonempty, ``language`` a superset of the parent's).
+
+    Only the new tuples are validated: arity, range, injective, sorted,
+    containing the new vertex, one relation per vertex set.  Each merges
+    into its name's sorted tuples, a new name is placed by bisection on
+    ``_natural_key``, and the parent's support index is extended (the new
+    tuples are the new supports) instead of rebuilt.  The fields are set
+    without running ``__post_init__``; every structure from outside the
+    library goes through ``make_structure``, ``brt.io`` or the dataclass.
+    """
+    new, size = parent.size, parent.size + 1
+    seen: set[tuple[int, ...]] = set()
+    for name, tuples in added.items():
+        arity = language.arity_of(name)
+        for t in tuples:
+            if len(t) != arity:
+                raise ValueError(f"tuple {t} has wrong arity for {name}")
+            if any(not 0 <= v < size for v in t):
+                raise ValueError(f"tuple {t} out of range")
+            if len(set(t)) != arity:
+                raise ValueError(f"hypergraph tuple {t} not injective")
+            if tuple(sorted(t)) != t:
+                raise ValueError(f"hypergraph tuple {t} not sorted")
+            if t[-1] != new:
+                raise ValueError(f"tuple {t} does not contain the new vertex {new}")
+            if t in seen:
+                raise ValueError(f"vertex set {t} in two relations of arity {arity}")
+            seen.add(t)
+    old = parent._index
+    relations = list(parent.relations)
+    index = object.__new__(_SupportIndex)
+    index.patterns = dict(old.patterns)
+    index.by_size = dict(old.by_size)
+    fresh = []
+    for name, tuples in added.items():
+        at = old.name_order.get(name)
+        if at is None:
+            fresh.append((name, tuple(tuples)))
+            pattern = ((name, tuple(range(len(tuples[0])))),)
+        else:
+            have = relations[at][1]
+            relations[at] = (name, tuple(sorted(have + tuple(tuples))))
+            # every support of a hypergraph symbol shares its one-pair pattern
+            pattern = old.patterns[have[0]]
+        index.patterns.update((t, pattern) for t in tuples)
+        k = len(tuples[0])
+        index.by_size[k] = index.by_size.get(k, []) + list(tuples)
+    for item in fresh:
+        relations.insert(bisect_right(relations, _natural_key(item[0]),
+                                      key=lambda r: _natural_key(r[0])), item)
+    index.name_order = (old.name_order if not fresh else
+                        {name: i for i, (name, _) in enumerate(relations)})
+    out = object.__new__(EnumeratedStructure)
+    for field, value in (("language", language), ("size", size),
+                         ("relations", tuple(relations)), ("hypergraph", True),
+                         ("_index", index)):
+        object.__setattr__(out, field, value)
+    return out
 
 
 def make_structure(language: RelationalLanguage, size: int,
@@ -422,18 +508,6 @@ class GenericPrefix:
             raise ValueError(f"no symbol #{idx} of arity {arity}")
         return pool[idx - 1], lang
 
-    def _extension_relations(self, request: ExtensionRequest
-                             ) -> tuple[dict[str, set], RelationalLanguage]:
-        lang = self.language
-        new = self.size
-        rels: dict[str, set] = {name: set(tuples) for name, tuples in self.structure.relations}
-        for slot, idx in request.choices:
-            if idx == 0:
-                continue
-            name, lang = self._symbol_for(lang, len(slot) + 1, idx)
-            rels.setdefault(name, set()).add(tuple(sorted(slot + (new,))))
-        return rels, lang
-
     def _is_free(self, candidate: EnumeratedStructure, new_vertex: int) -> bool:
         # Forbidden members are covered by one relation tuple, so a copy of
         # one spans a support of the candidate, and a new copy spans one at
@@ -446,9 +520,16 @@ class GenericPrefix:
         """Append a fresh vertex realising the requested extension type."""
         if any(not 0 <= v < self.size for v in request.base):
             raise ValueError("extension base must be existing vertices")
-        rels, lang = self._extension_relations(request)
-        candidate = make_structure(lang, self.size + 1, rels, hypergraph=True)
-        if not self._is_free(candidate, self.size):
+        lang, new = self.language, self.size
+        added: dict[str, set] = {}
+        for slot, idx in request.choices:
+            if idx == 0:
+                continue
+            name, lang = self._symbol_for(lang, len(slot) + 1, idx)
+            added.setdefault(name, set()).add(tuple(sorted(slot + (new,))))
+        added = {name: sorted(tuples) for name, tuples in added.items()}
+        candidate = _derived(self.structure, lang, added)
+        if self.forbidden and not self._is_free(candidate, new):
             raise ValueError("requested extension is not forbidden-family-free")
         entry = (request.base, request.choices, self.size)
         return replace(self, structure=candidate, log=self.log + (entry,))

@@ -123,10 +123,33 @@ def _digest(tag: tuple, bound: int) -> int:
     return int.from_bytes(h.digest(), "big") % bound
 
 
+def _tag_digest(tag: tuple):
+    """``t, bound -> _digest(tag + (t,), bound)``, with the bytes of ``tag``
+    hashed once: ``repr(tag + (t,))`` is ``repr(tag)`` without its closing
+    ``)`` (or ``,)`` for a one-element tag), then ``, repr(t))``; an empty
+    tag gives ``(repr(t),)``."""
+    if tag:
+        head, tail = repr(tag)[:-2 if len(tag) == 1 else -1], ", {!r})"
+    else:
+        head, tail = "(", "{!r},)"
+    seeded = hashlib.blake2b(head.encode(), digest_size=8)
+
+    def digest(t, bound: int) -> int:
+        h = seeded.copy()
+        h.update(tail.format(t).encode())
+        return int.from_bytes(h.digest(), "big") % bound
+
+    return digest
+
+
 def hashed_extension(f: ValuationFunction, level: int, tag: tuple) -> ValuationFunction:
-    """Deterministic pseudo-random extension of ``f`` to the given level."""
-    vals = ((t, _digest(tag + (t,), f.sig.bound(f.shift, len(t))) if v is None else v)
-            for t, v in _slots(f, level))
+    """Deterministic pseudo-random extension of ``f`` to the given level:
+    each new slot ``t`` takes ``_digest(tag + (t,), bound)``."""
+    slots = _slots(f, level)
+    # the tag is hashed only for an extension with new slots
+    digest = _tag_digest(tag) if any(v is None for _, v in slots) else None
+    vals = ((t, digest(t, f.sig.bound(f.shift, len(t))) if v is None else v)
+            for t, v in slots)
     return _derived(f.sig, f.shift, level, tuple(e for e in vals if e[1]))
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -11,7 +13,9 @@ import pytest
 
 from brt.structures import (
     GenericPrefix,
+    countable_symbol_name,
     empty_prefix,
+    enumerate_embeddings,
     generic_extend,
     graph_language,
     make_language,
@@ -31,11 +35,14 @@ from brt.envelopes import (
 )
 from brt.io import valuation_to_json
 from brt.trees import (
+    _slots,
     _vf_label,
     coordinate_nodes,
     derived_inner_tree,
     immediate_successors,
+    induced_tree_structure,
     level_nodes,
+    tree_language,
     zero_extension,
 )
 from brt.valuation import (
@@ -46,6 +53,7 @@ from brt.valuation import (
     tuple_sort_key,
     zero_valuation,
 )
+from brt.adversarial import TreeLikeVerdict
 
 GRAPH_SIG = Signature((3,))
 TERNARY_SIG = Signature((2, 3))
@@ -621,3 +629,105 @@ def is_structural(tree, mapping):
             if want != got:
                 return False
     return True
+
+
+# --- each structural fact recomputed where it is used: the oracles for the
+# level-profile copy count, the memoised tree-likeness check, prefix growth
+# by appending and the once-seeded tag digests
+
+
+_TREE_HYPERGRAPHS: dict = {}
+
+
+def naive_degree_upper_bound(a, height, sig):
+    """The copy count by search: the hypergraph induced on every node below
+    ``height`` (``induced_tree_structure``, built once per signature and
+    height), and the monotone embeddings of ``a``, relabelled into the tree
+    language, enumerated into it."""
+    lang = tree_language(sig)
+    rels = {countable_symbol_name(a.language.arity_of(name), a.language.colour_of(name)):
+            list(tuples) for name, tuples in a.relations}
+    relabelled = make_structure(lang, a.size, rels, hypergraph=True)
+    if (sig, height) not in _TREE_HYPERGRAPHS:
+        nodes = [f for m in range(height) for f in level_nodes(sig, 0, m)]
+        _TREE_HYPERGRAPHS[sig, height] = induced_tree_structure(sig, nodes)
+    return len(enumerate_embeddings(relabelled, _TREE_HYPERGRAPHS[sig, height]))
+
+
+def naive_is_tree_like(prefix, f, bound):
+    """The tree-likeness check with every type recomputed per subset, per
+    later vertex and per checked triple."""
+    structure = prefix.structure
+    tp = structure.type_on
+    dom = sorted(f)
+    if any(f[a] >= f[b] for a, b in zip(dom, dom[1:])):
+        raise ValueError("embedding data must be monotone")
+    checked = 0
+    window = [v for v in dom if v < bound]
+    for r in range(1, len(window) + 1):
+        for xs in itertools.combinations(window, r):
+            xs_range = range(xs[-1] + 1, min(bound, structure.size))
+            if not xs_range:
+                continue
+            image = tuple(f[v] for v in xs)
+            init = tuple(range(f[xs[0]]))
+            pivots = [tp(init + (f[v],)) for v in xs]
+            later = [(tp(image + (f[y],)), tp(init + (f[y],)))
+                     for y in dom if xs[-1] < y < bound]
+            for x in xs_range:
+                over_xs = tp(xs + (x,))
+                for i in range(len(xs)):
+                    checked += 1
+                    if (over_xs, pivots[i]) not in later:
+                        return TreeLikeVerdict("fail", (xs, i, x), checked)
+    if checked == 0:
+        return TreeLikeVerdict("inconclusive", None, 0)
+    return TreeLikeVerdict("pass", None, checked)
+
+
+def naive_with_symbol(lang, name, arity):
+    """The language plus one symbol, re-sorted and re-ranked from scratch."""
+    if any(n == name for n, _ in lang.symbols):
+        return lang
+    return dataclasses.replace(lang, symbols=lang.symbols + ((name, arity),))
+
+
+def naive_realize(prefix, request):
+    """A one-point extension rebuilt whole: every tuple revalidated, every
+    name re-sorted and the support index rebuilt by ``make_structure``."""
+    if any(not 0 <= v < prefix.size for v in request.base):
+        raise ValueError("extension base must be existing vertices")
+    lang, new = prefix.language, prefix.size
+    rels = {name: set(tuples) for name, tuples in prefix.structure.relations}
+    for slot, idx in request.choices:
+        if idx == 0:
+            continue
+        arity = len(slot) + 1
+        if arity in lang.countable_arities:
+            name = countable_symbol_name(arity, idx)
+            lang = naive_with_symbol(lang, name, arity)
+        else:
+            pool = lang.symbols_of_arity(arity)
+            if not 1 <= idx <= len(pool):
+                raise ValueError(f"no symbol #{idx} of arity {arity}")
+            name = pool[idx - 1]
+        rels.setdefault(name, set()).add(tuple(sorted(slot + (new,))))
+    candidate = make_structure(lang, new + 1, rels, hypergraph=True)
+    if not prefix._is_free(candidate, new):
+        raise ValueError("requested extension is not forbidden-family-free")
+    entry = (request.base, request.choices, new)
+    return dataclasses.replace(prefix, structure=candidate, log=prefix.log + (entry,))
+
+
+def naive_digest(tag, bound):
+    """The digest of one slot, hashing the whole tag's ``repr`` each time."""
+    h = hashlib.blake2b(repr(tag).encode(), digest_size=8)
+    return int.from_bytes(h.digest(), "big") % bound
+
+
+def naive_hashed_extension(f, level, tag):
+    """``hashed_extension`` with one full-tag digest per new slot, built
+    through the validating constructor."""
+    return make_valuation(f.sig, f.shift, level, {
+        t: naive_digest(tag + (t,), f.sig.bound(f.shift, len(t))) if v is None else v
+        for t, v in _slots(f, level)})

@@ -1,5 +1,8 @@
 """Sequence-tree colouring, persistent triple colouring, tree-likeness."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,10 @@ from brt.adversarial import (
     triple_colour_formula,
     triple_witness,
 )
-from brt.structures import ExtensionRequest, empty_prefix
+from brt.cli import radial_example
+from brt.structures import ExtensionRequest, empty_prefix, uniform_language
+
+from conftest import naive_is_tree_like
 
 
 # --- sequence-tree colouring -----------------------------------------------------
@@ -195,3 +201,69 @@ def test_tree_like_requires_monotone_data():
     prefix = _plain_prefix(4)
     with pytest.raises(ValueError):
         is_tree_like(prefix, {0: 2, 1: 1}, bound=3)
+
+
+def _verdicts_match(prefix, f, bound):
+    got, want = is_tree_like(prefix, f, bound), naive_is_tree_like(prefix, f, bound)
+    assert (got.status, got.witness, got.checked) == (want.status, want.witness, want.checked)
+    return got
+
+
+def test_tree_like_matches_twin_on_identity_and_radial_data():
+    for n in range(9):
+        prefix = _plain_prefix(n)
+        for bound in range(n + 2):
+            _verdicts_match(prefix, {v: v for v in range(n)}, bound)
+    for m in range(6):
+        grow, f = radial_example(m)
+        prefix = PersistentColouringContext.fresh().grown(grow).prefix
+        for bound in range(m + 3):
+            _verdicts_match(prefix, f, bound)
+
+
+def _random_prefix(rng, size):
+    """A prefix of countably many binary colours (new vertices join earlier
+    ones by colours 0-2) or of one ternary symbol, grown by random full-base
+    requests, so extension types repeat and differ."""
+    ternary = rng.random() < 0.5
+    prefix = empty_prefix(uniform_language(3) if ternary else infinite_binary_language())
+    density = rng.choice((0.1, 0.3, 0.6))
+    for _ in range(size):
+        base = tuple(range(prefix.size))
+        slots = itertools.combinations(base, 2) if ternary else ((u,) for u in base)
+        choices = {slot: 1 if ternary else rng.choice((1, 2))
+                   for slot in slots if rng.random() < density}
+        prefix = prefix.realize(ExtensionRequest.of(base, choices))
+    return prefix
+
+
+def _random_monotone_map(rng, size):
+    dom = sorted(rng.sample(range(size), rng.randint(0, size)))
+    images = sorted(rng.sample(range(size), len(dom)))
+    return dict(zip(dom, images))
+
+
+def test_tree_like_matches_twin_on_random_maps_into_grown_prefixes():
+    """Failures land in subsets of one and two vertices, after varied
+    numbers of checked triples."""
+    rng = random.Random(11)
+    statuses, sizes, counts = set(), set(), set()
+    for _ in range(300):
+        prefix = _random_prefix(rng, rng.randint(0, 9))
+        f = _random_monotone_map(rng, prefix.size)
+        verdict = _verdicts_match(prefix, f, rng.randint(0, prefix.size + 1))
+        statuses.add(verdict.status)
+        if verdict.status == "fail":
+            sizes.add(len(verdict.witness[0]))
+            counts.add(verdict.checked)
+    assert statuses == {"pass", "fail", "inconclusive"}
+    assert sizes == {1, 2}
+    assert len(counts) >= 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 8))
+def test_tree_like_matches_twin_on_drawn_maps(seed, size):
+    rng = random.Random(seed)
+    prefix = _random_prefix(rng, size)
+    _verdicts_match(prefix, _random_monotone_map(rng, prefix.size), rng.randint(0, size + 1))

@@ -387,6 +387,44 @@ def test_tree_like_prefix_at_the_cap_runs(capsys, argv, cap):
     assert (code, out) == (2, "")
 
 
+def test_degree_at_height_12_is_quick(files, capsys):
+    """GRAPH height 12 holds 265,720 nodes: the count reads level profiles
+    and builds none of them."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degree", "--a", files["edge"], "--height", "12")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, '{"count":5883904390,"height":12}\n', "")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("tree-like", "--bound", "3"), "tree-like needs --identity, --radial or --map"),
+    (("hl-witness", "--colour", "-1"), "--colour must be a natural number, got -1"),
+    (("hl-witness", "--colour", "-5", "--seed", "3"), "--colour must be a natural number, got -5"),
+    (("hl", "--node=-3,-2"), "--node entries must be natural numbers, got -3,-2"),
+    (("hl", "--node=2,-1"), "--node entries must be natural numbers, got 2,-1"),
+    (("hl-witness", "--height", "-2"), "--height must be a natural number, got -2"),
+    (("inf", "--colours", "-1"), "--colours must be a natural number, got -1"),
+    (("inf", "--prefix-size", "-3"), "--prefix-size must be a natural number, got -3"),
+    (("tree-like", "--identity", "-5"), "--identity must be a natural number, got -5"),
+    (("tree-like", "--radial", "-1"), "--radial must be a natural number, got -1"),
+    (("tree-like", "--identity", "4", "--bound", "-1"), "--bound must be a natural number, got -1"),
+])
+def test_adversarial_bad_input_exits_one(capsys, argv, message):
+    """Each used to raise a traceback (no source), exit 3 (negative colours
+    and node entries) or exit 0 (negative sizes)."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "adversarial", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", f"brt: error: {message}\n")
+
+
+@pytest.mark.parametrize("source", ["--identity", "--radial"])
+def test_tree_like_empty_sources_are_inconclusive(capsys, source):
+    """``--identity 0`` and ``--radial 0`` are sources, not missing ones."""
+    code, out, err = run(capsys, "adversarial", "tree-like", source, "0")
+    assert (code, out, err) == (0, '{"checked":0,"status":"inconclusive","witness":null}\n', "")
+
+
 @pytest.mark.parametrize("argv,code", [
     (("tree", "--sigma", "3", "--level", "2"), 0),
     (("tree", "--sigma", "3", "--level", "-1"), 1),

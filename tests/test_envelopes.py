@@ -33,6 +33,7 @@ from conftest import (
     GRAPH_SIG,
     is_structural,
     naive_cascade,
+    naive_degree_upper_bound,
     naive_enveloping_images,
     naive_marker_levels,
     naive_verify_k_enveloping,
@@ -530,3 +531,58 @@ def test_degree_counts_independent_of_tiebreak_order():
             assert (_degree_under_order(a, height, GRAPH_SIG, forward)
                     == _degree_under_order(a, height, GRAPH_SIG, backward)
                     == degree_upper_bound(a, height, GRAPH_SIG))
+
+
+def _tree_structures(sig, size):
+    """Every hypergraph on ``size`` vertices over the tree language of
+    ``sig``: each vertex set of a related arity takes no symbol or one."""
+    lang = tree_language(sig)
+    sets = [s for arity in range(2, size + 1) if lang.symbols_of_arity(arity)
+            for s in itertools.combinations(range(size), arity)]
+    for names in itertools.product(*([None, *lang.symbols_of_arity(len(s))] for s in sets)):
+        rels = {}
+        for s, name in zip(sets, names):
+            if name:
+                rels.setdefault(name, []).append(s)
+        yield make_structure(lang, size, rels, hypergraph=True)
+
+
+@pytest.mark.parametrize("sig,heights", [(GRAPH_SIG, range(6)), (Signature((2, 3)), range(4))])
+def test_degree_count_matches_the_embedding_search_on_small_structures(sig, heights):
+    """Every structure of up to 3 vertices, against the search over the
+    induced tree hypergraph."""
+    for size in range(4):
+        for a in _tree_structures(sig, size):
+            for h in heights:
+                assert degree_upper_bound(a, h, sig) == naive_degree_upper_bound(a, h, sig)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_degree_count_matches_the_embedding_search_on_drawn_structures(size, height, seed):
+    """Signature (3, 4): one binary colour, two ternary ones, and vertex
+    sets of one arity that share a top vertex and its lower levels."""
+    sig = Signature((3, 4))
+    a = random_hypergraph(tree_language(sig), size, random.Random(seed), density=0.5)
+    assert degree_upper_bound(a, height, sig) == naive_degree_upper_bound(a, height, sig)
+
+
+def test_degree_count_closed_forms():
+    """Heights the search cannot reach: a point is any node, (3^h - 1)/2 of
+    them; an edge is a node at level l below one at level m with value 1 at
+    (l,), 3^l * 3^(m-1) pairs; the TERNARY triple at height 4; a pair in a
+    tree of one node per level."""
+    lang = tree_language(GRAPH_SIG)
+    point = make_structure(lang, 1, {}, hypergraph=True)
+    edge = make_structure(lang, 2, {"r2c1": [(0, 1)]}, hypergraph=True)
+    for h in range(13):
+        assert degree_upper_bound(point, h, GRAPH_SIG) == (3 ** h - 1) // 2
+        assert degree_upper_bound(edge, h, GRAPH_SIG) == sum(
+            3 ** (l + m - 1) for m in range(h) for l in range(m))
+    assert degree_upper_bound(edge, 5, GRAPH_SIG) == 1210
+    ternary = Signature((2, 3))
+    triple = make_structure(tree_language(ternary), 3, {"r3c1": [(0, 1, 2)]}, hypergraph=True)
+    assert degree_upper_bound(triple, 4, ternary) == 2744
+    # one node per level: any increasing map, at a height of 10^5 levels
+    pair = make_structure(lang, 2, {}, hypergraph=True)
+    assert degree_upper_bound(pair, 10 ** 5, Signature()) == 10 ** 5 * (10 ** 5 - 1) // 2

@@ -11,6 +11,7 @@ from brt.adversarial import GrowPrefix, PersistentColouringContext
 from brt.errors import LanguageMismatchError
 from brt.structures import (
     EnumeratedStructure,
+    _derived,
     ExtensionRequest,
     GenericPrefix,
     compose_embeddings,
@@ -31,8 +32,10 @@ from conftest import (
     brute_induced_relations,
     lookup_structures,
     naive_is_covered,
+    naive_realize,
     naive_related,
     naive_slot_choice,
+    naive_with_symbol,
     random_covered_structure,
     random_general_structure,
     random_hypergraph,
@@ -394,3 +397,114 @@ def test_seeded_extension_mode_is_reproducible():
     assert a == b
     assert a.structure.hypergraph
     assert {entry for entry in a.log} != {entry for entry in c.log} or a == c
+
+
+# --- growth by appending against the whole rebuild ---------------------------------
+
+
+def _forbidden_family(lang, rng):
+    """Up to two covered hypergraphs of two or three vertices, over the
+    language with two binary and one ternary countable symbol added."""
+    for arity, index in ((2, 1), (2, 3), (3, 1)):
+        if arity in lang.countable_arities:
+            lang = lang.with_countable_symbol(arity, index)
+    sizes = [k for k in (2, 3) if lang.arity_count(k)]
+    return tuple(random_covered_structure(lang, rng.choice(sizes), rng, True)
+                 for _ in range(rng.randint(0, 2) if sizes else 0))
+
+
+def _random_request(prefix, rng):
+    """A request over a random base; its slots may leave the base, and a
+    finite arity may be asked for one symbol more than it has."""
+    lang = prefix.language
+    base = tuple(v for v in range(prefix.size) if rng.random() < 0.6)
+    pool = base if rng.random() < 0.8 else tuple(range(prefix.size))
+    choices = {}
+    for slot in [()] + [c for k in (1, 2) for c in itertools.combinations(pool, k)]:
+        arity = len(slot) + 1
+        if arity in lang.countable_arities:
+            choices[slot] = rng.choice((0, 1, 3, 4, 7))
+        elif lang.arity_count(arity):
+            choices[slot] = rng.randint(0, lang.arity_count(arity) + (rng.random() < 0.05))
+    return ExtensionRequest.of(base, {k: c for k, c in choices.items() if c})
+
+
+def _assert_same_prefix(got, want):
+    assert got == want
+    s, t = got.structure, want.structure
+    assert s.relations == t.relations
+    assert s.language.symbols == t.language.symbols
+    assert s.language._place == t.language._place
+    assert s._index.patterns == t._index.patterns
+    # equal patterns are one tuple, as in a rebuilt index
+    assert (len({id(p) for p in s._index.patterns.values()})
+            == len(set(s._index.patterns.values())))
+    assert ({k: sorted(v) for k, v in s._index.by_size.items()}
+            == {k: sorted(v) for k, v in t._index.by_size.items()})
+    assert s._index.name_order == t._index.name_order
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GROWN_LANGUAGES + (make_language(("e", 2), countable_arities={3}),
+                                          # names of one natural order: "e1" == "e01"
+                                          make_language(("e1", 2), ("e01", 2), ("t", 3)))),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 9))
+def test_realize_matches_the_whole_rebuild(lang, seed, steps):
+    """At every step of a random growth, in finite and countable languages,
+    with and without a forbidden family: the same prefix, index and
+    language, or the same ``ValueError`` from both."""
+    rng = random.Random(seed)
+    prefix = empty_prefix(lang, _forbidden_family(lang, rng))
+    for _ in range(steps):
+        request = _random_request(prefix, rng)
+        try:
+            want = naive_realize(prefix, request)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                prefix.realize(request)
+            assert str(got.value) == str(exc)
+            continue
+        got = prefix.realize(request)
+        _assert_same_prefix(got, want)
+        prefix = got
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("a", "b", "a10", "a9", "a01", "r2c5", "r2c10",
+                                           "r2c05", "u3", "u12", "r3c2", "e")),
+                          st.integers(1, 3)), max_size=8),
+       st.lists(st.tuples(st.sampled_from(("z", "a2", "a09", "r2c7", "r2c005", "u0", "r3c1",
+                                           "b")),
+                          st.integers(1, 3)), max_size=4),
+       st.sets(st.integers(1, 3)))
+def test_with_symbol_matches_the_resort(symbols, added, countable):
+    """Placing a symbol by bisection gives the language, the order and the
+    colours of appending it and re-sorting everything."""
+    names = {}
+    for name, arity in symbols:
+        names.setdefault(name, arity)
+    lang = make_language(*names.items(), countable_arities=countable)
+    for name, arity in added:
+        got, want = lang.with_symbol(name, arity), naive_with_symbol(lang, name, arity)
+        assert got == want and got.symbols == want.symbols
+        assert got._place == want._place
+        lang = got
+
+
+@pytest.mark.parametrize("added,message", [
+    ({"e": [(0, 1, 2)]}, "tuple (0, 1, 2) has wrong arity for e"),
+    ({"e": [(1, 3)]}, "tuple (1, 3) out of range"),
+    ({"t": [(2, 2, 2)]}, "hypergraph tuple (2, 2, 2) not injective"),
+    ({"e": [(2, 0)]}, "hypergraph tuple (2, 0) not sorted"),
+    ({"e": [(0, 1)]}, "tuple (0, 1) does not contain the new vertex 2"),
+    ({"e": [(0, 2)], "f": [(0, 2)]}, "vertex set (0, 2) in two relations of arity 2"),
+])
+def test_derived_validates_the_new_tuples(added, message):
+    lang = make_language(("e", 2), ("f", 2), ("t", 3))
+    parent = make_structure(lang, 2, {"e": [(0, 1)]}, hypergraph=True)
+    with pytest.raises(ValueError) as exc:
+        _derived(parent, lang, added)
+    assert str(exc.value) == message
+    grown = _derived(parent, lang, {"f": [(0, 2)], "t": [(0, 1, 2)]})
+    assert grown == make_structure(lang, 3, {"e": [(0, 1)], "f": [(0, 2)], "t": [(0, 1, 2)]},
+                                   hypergraph=True)

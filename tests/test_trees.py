@@ -16,6 +16,7 @@ from brt.envelopes import build_enveloping, compute_envelope
 from brt.errors import InfeasibleError
 from brt.trees import (
     CompletedCoordinate,
+    _tag_digest,
     ExplicitCoordinate,
     ExhaustionReport,
     StrongSubtreeWitness,
@@ -62,6 +63,8 @@ from conftest import (
     brute_tree_to_dot,
     brute_valuation_tree,
     is_structural,
+    naive_digest,
+    naive_hashed_extension,
     prefix_structure,
     tree_embeddings_brute,
 )
@@ -604,3 +607,44 @@ def test_dot_edges_match_the_tier_scan_on_envelope_trees(kind, size, k):
         tree = compute_envelope(emb, subset).tree
         if tree is not None:
             assert tree_to_dot(tree, "envelope") == brute_tree_to_dot(tree, "envelope")
+
+
+# --- seeded selections: the tag is hashed once per extension ---------------------
+
+
+# tag entries: scalars, one-element and longer tuples, and stored entries
+# (nested ``(tuple, value)`` pairs) as the seeded selections use them
+_TAG_ITEMS = st.one_of(
+    st.integers(-5, 10 ** 6), st.text(max_size=3), st.none(),
+    st.tuples(st.integers(0, 9)), st.lists(st.integers(0, 9), max_size=3).map(tuple),
+    st.lists(st.tuples(st.lists(st.integers(0, 9), min_size=1, max_size=2).map(tuple),
+                       st.integers(1, 3)), max_size=2).map(tuple))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_TAG_ITEMS, max_size=5).map(tuple),
+       st.lists(st.integers(0, 20), min_size=1, max_size=3).map(tuple), st.integers(1, 9))
+def test_tag_digest_matches_the_per_slot_digest(tag, t, bound):
+    """Empty, one-element and longer tags, nested tuples included."""
+    assert _tag_digest(tag)(t, bound) == naive_digest(tag + (t,), bound)
+
+
+@pytest.mark.parametrize("sig", TEST_SIGS + (DEEP_SIG,))
+def test_seeded_selections_match_per_slot_digests(sig, monkeypatch):
+    """Every root and selection of seeded witnesses, through a valuation
+    tree build, equals its extension hashed slot by slot."""
+    calls = []
+    real = trees.hashed_extension
+
+    def recording(f, level, tag):
+        out = real(f, level, tag)
+        calls.append((f, level, tag, out))
+        return out
+
+    monkeypatch.setattr(trees, "hashed_extension", recording)
+    height = 2 if sig == DEEP_SIG else 3
+    for seed in range(3):
+        build_valuation_tree(seeded_witness(sig, height, height, seed))
+    assert len(calls) > 10
+    for f, level, tag, out in calls:
+        assert out == naive_hashed_extension(f, level, tag)
