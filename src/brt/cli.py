@@ -65,10 +65,6 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit(obj) -> str:
-    return bio.dumps_canonical(obj)
-
-
 def _structure(path: str):
     return bio.structure_from_json(_load(path))
 
@@ -83,7 +79,7 @@ def _sigma(args, structure=None):
 
 def cmd_sig(args, cfg: Config) -> str:
     lang = bio.language_from_json(_load(args.lang))
-    return _emit(bio.signature_to_json(signature_from_language(lang)))
+    return bio.dumps_canonical(bio.signature_to_json(signature_from_language(lang)))
 
 
 def cmd_tree(args, cfg: Config) -> str:
@@ -93,7 +89,7 @@ def cmd_tree(args, cfg: Config) -> str:
         if count == ESTIMATE_MAX:
             raise ValueError(f"level {args.level} has at least 10^{ESTIMATE_DIGITS} - 1 nodes, "
                              f"past the {ESTIMATE_DIGITS}-digit limit of exact counts")
-        return _emit({"count": count})
+        return bio.dumps_canonical({"count": count})
     nodes = level_nodes(sig, args.shift, args.level, cfg.cap)
     if cfg.fmt == "table":
         lines = ["\n"] * (2 * len(nodes))
@@ -106,10 +102,10 @@ def cmd_val(args, cfg: Config) -> str:
     if args.witness:
         witness = bio.witness_from_json(_load(args.witness))
     else:
-        if not args.sigma or not args.height:
+        if not args.sigma or args.height is None:
             raise ValueError("val needs --witness or both --sigma and --height")
         sig = bio.parse_signature(args.sigma)
-        dim = args.dim or args.height
+        dim = args.height if args.dim is None else args.dim
         levels = tuple(int(l) for l in args.levels.split(",")) if args.levels else None
         if args.full:
             witness = full_tree_witness(sig, dim, args.height)
@@ -130,7 +126,7 @@ def cmd_embed(args, cfg: Config) -> str:
     maps = enumerate_embeddings(a, b)
     if cfg.fmt == "table":
         return "".join(",".join(map(str, m)) + "\n" for m in maps)
-    return _emit({"count": len(maps), "embeddings": [list(m) for m in maps]})
+    return bio.dumps_canonical({"count": len(maps), "embeddings": [list(m) for m in maps]})
 
 
 def cmd_envelope(args, cfg: Config) -> str:
@@ -166,27 +162,34 @@ def cmd_degree(args, cfg: Config) -> str:
     count = degree_upper_bound(a, args.height, sig, cap=cfg.cap)
     if cfg.fmt == "table":
         return f"{count}\n"
-    return _emit({"count": count, "height": args.height})
+    return bio.dumps_canonical({"count": count, "height": args.height})
 
 
 def cmd_reduce(args, cfg: Config) -> str:
     if args.action == "encode":
         out = encode_structure(_structure(args.infile))
-        return _emit(bio.structure_to_json(out))
+        return bio.dumps_canonical(bio.structure_to_json(out))
     if args.action == "decode":
+        if args.language is None:
+            raise ValueError("decode needs --language")
         lang = bio.language_from_json(_load(args.language))
         out = decode_structure(_structure(args.infile), lang)
-        return _emit(bio.structure_to_json(out))
+        return bio.dumps_canonical(bio.structure_to_json(out))
     if args.action == "unaries":
+        if args.count is not None and args.count < 0:
+            raise ValueError(f"--count must be a natural number, got {args.count}")
         base = _structure(args.infile)
         u = None if args.countable else args.count
         product = unary_expand(base, u, size_cap=cfg.cap)
-        return _emit({"pairs": [list(p) for p in product.pairs],
-                      "structure": bio.structure_to_json(product.structure)})
+        return bio.dumps_canonical({"pairs": [list(p) for p in product.pairs],
+                                    "structure": bio.structure_to_json(product.structure)})
     if args.action == "strip":
+        if args.forbidden is None:
+            raise ValueError("strip needs --forbidden")
         m = _structure(args.infile)
-        family = tuple(bio.structure_from_json(o) for o in _load(args.forbidden))
-        return _emit(bio.structure_to_json(strip_bad(m, family)))
+        family = tuple(bio.structure_from_json(o)
+                       for o in bio._typed(_load(args.forbidden), list, "a forbidden family"))
+        return bio.dumps_canonical(bio.structure_to_json(strip_bad(m, family)))
     raise ValueError(f"unknown reduce action {args.action}")
 
 
@@ -207,14 +210,14 @@ def cmd_adversarial(args, cfg: Config) -> str:
             raise ValueError(f"--{option.replace('_', '-')} must be a natural number, got {value}")
     if args.action == "hl":
         node = _parse_node(args.node)
-        return _emit({"colour": adv.seq_colour(node)})
+        return bio.dumps_canonical({"colour": adv.seq_colour(node)})
     if args.action == "hl-witness":
         subtree = adv.random_omega_subtree(cfg.seed, height=args.height)
         node = adv.seq_colour_witness(subtree, args.colour)
-        return _emit({"root": list(subtree.root),
-                      "levels": list(subtree.levels),
-                      "node": list(node),
-                      "colour": adv.seq_colour(node)})
+        return bio.dumps_canonical({"root": list(subtree.root),
+                                    "levels": list(subtree.levels),
+                                    "node": list(node),
+                                    "colour": adv.seq_colour(node)})
     if args.action == "inf":
         ctx = adv.PersistentColouringContext.fresh()
         while ctx.size < args.prefix_size:
@@ -228,7 +231,7 @@ def cmd_adversarial(args, cfg: Config) -> str:
                     continue
                 copies[str(p)] = list(res)
                 break
-        return _emit({"prefix_size": ctx.size, "copies": copies})
+        return bio.dumps_canonical({"prefix_size": ctx.size, "copies": copies})
     if args.action == "tree-like":
         if args.identity is not None or args.radial is not None:
             if args.identity is not None:
@@ -243,10 +246,11 @@ def cmd_adversarial(args, cfg: Config) -> str:
             structure, fmap = bio.map_from_json(_load(args.map))
             prefix = GenericPrefix(structure)
         verdict = adv.is_tree_like(prefix, fmap, args.bound)
-        return _emit({"status": verdict.status,
-                      "witness": list(map(list, verdict.witness[:1])) + list(verdict.witness[1:])
-                      if verdict.witness else None,
-                      "checked": verdict.checked})
+        return bio.dumps_canonical({
+            "status": verdict.status,
+            "witness": list(map(list, verdict.witness[:1])) + list(verdict.witness[1:])
+            if verdict.witness else None,
+            "checked": verdict.checked})
     raise ValueError(f"unknown adversarial action {args.action}")
 
 

@@ -26,10 +26,10 @@ from .structures import (
 )
 from .trees import (
     DEFAULT_CAP,
+    CompletedCoordinate,
     StrongSubtreeWitness,
     ValuationTree,
     build_valuation_tree,
-    complete_to_strong,
     tree_language,
     val_contains,
 )
@@ -98,10 +98,6 @@ class EnvelopingEmbedding:
     images: dict[int, ValuationFunction]
     original: frozenset[int]
     branching: frozenset[int]
-
-    @property
-    def level_top(self) -> int:
-        return max(self.vertex_level.values(), default=0)
 
     @cached_property
     def _verdict(self) -> Verdict:
@@ -276,11 +272,6 @@ class Envelope:
             return None
         return build_valuation_tree(self.witness, self.height, cap=MATERIALIZE_CAP)
 
-    def contains(self, node: ValuationFunction) -> bool:
-        if self.witness is None:
-            return False
-        return val_contains(self.witness, node, 0, self.height)
-
 
 def _dedup(nodes) -> tuple[ValuationFunction, ...]:
     return tuple(sorted(set(nodes), key=tier_key))
@@ -350,7 +341,7 @@ def compute_envelope(emb: EnvelopingEmbedding, subset) -> Envelope:
         aligned = _dedup(f.restrict(l) for f in st.meets
                          for l in level_set if l <= f.level)
         st.aligned = aligned
-        coords.append(complete_to_strong(sig, st.index, aligned, level_set))
+        coords.append(CompletedCoordinate(sig, st.index, aligned, level_set))
     witness = StrongSubtreeWitness(sig, level_set, tuple(coords))
 
     contained = all(val_contains(witness, f, 0, height) for f in images)

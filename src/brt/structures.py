@@ -157,23 +157,8 @@ class EnumeratedStructure:
     hypergraph: bool = False
 
     def __post_init__(self):
-        seen_sets: set[tuple[int, tuple[int, ...]]] = set()
-        for name, tuples in self.relations:
-            arity = self.language.arity_of(name)
-            for t in tuples:
-                if len(t) != arity:
-                    raise ValueError(f"tuple {t} has wrong arity for {name}")
-                if any(not 0 <= v < self.size for v in t):
-                    raise ValueError(f"tuple {t} out of range")
-                if self.hypergraph:
-                    if len(set(t)) != arity:
-                        raise ValueError(f"hypergraph tuple {t} not injective")
-                    if tuple(sorted(t)) != t:
-                        raise ValueError(f"hypergraph tuple {t} not sorted")
-                    key = (arity, t)
-                    if key in seen_sets:
-                        raise ValueError(f"vertex set {t} in two relations of arity {arity}")
-                    seen_sets.add(key)
+        for _ in _checked(self.language, self.size, self.relations, self.hypergraph):
+            pass
 
     def rel(self, name: str) -> frozenset[tuple[int, ...]]:
         for n, tuples in self.relations:
@@ -232,6 +217,30 @@ class EnumeratedStructure:
         return (self.size, self.hypergraph, self.relations)
 
 
+def _checked(language: RelationalLanguage, size: int, relations, hypergraph: bool):
+    """Yield each tuple of the ``(name, tuples)`` pairs once it passes the
+    checks every structure's tuples share: the name's arity, vertices in
+    range and, in a hypergraph, injective, sorted and one relation per
+    vertex set.  The first tuple that fails raises its first failed check."""
+    seen: set[tuple[int, ...]] = set()
+    for name, tuples in relations:
+        arity = language.arity_of(name)
+        for t in tuples:
+            if len(t) != arity:
+                raise ValueError(f"tuple {t} has wrong arity for {name}")
+            if any(not 0 <= v < size for v in t):
+                raise ValueError(f"tuple {t} out of range")
+            if hypergraph:
+                if len(set(t)) != arity:
+                    raise ValueError(f"hypergraph tuple {t} not injective")
+                if tuple(sorted(t)) != t:
+                    raise ValueError(f"hypergraph tuple {t} not sorted")
+                if t in seen:
+                    raise ValueError(f"vertex set {t} in two relations of arity {arity}")
+                seen.add(t)
+            yield t
+
+
 class _SupportIndex:
     """The relation tuples of a structure grouped by support, the increasing
     tuple of their distinct vertices.  Each support maps to its pattern: the
@@ -265,32 +274,18 @@ def _derived(parent: EnumeratedStructure, language: RelationalLanguage,
     new vertex, ``parent.size``, whose tuples ``added`` lists by name (each
     list sorted and nonempty, ``language`` a superset of the parent's).
 
-    Only the new tuples are validated: arity, range, injective, sorted,
-    containing the new vertex, one relation per vertex set.  Each merges
-    into its name's sorted tuples, a new name is placed by bisection on
-    ``_natural_key``, and the parent's support index is extended (the new
-    tuples are the new supports) instead of rebuilt.  The fields are set
-    without running ``__post_init__``; every structure from outside the
-    library goes through ``make_structure``, ``brt.io`` or the dataclass.
+    Only the new tuples are validated: the shared checks of ``_checked``,
+    then that each contains the new vertex.  Each merges into its name's
+    sorted tuples, a new name is placed by bisection on ``_natural_key``,
+    and the parent's support index is extended (the new tuples are the new
+    supports) instead of rebuilt.  The fields are set without running
+    ``__post_init__``; every structure from outside the library goes through
+    ``make_structure``, ``brt.io`` or the dataclass.
     """
     new, size = parent.size, parent.size + 1
-    seen: set[tuple[int, ...]] = set()
-    for name, tuples in added.items():
-        arity = language.arity_of(name)
-        for t in tuples:
-            if len(t) != arity:
-                raise ValueError(f"tuple {t} has wrong arity for {name}")
-            if any(not 0 <= v < size for v in t):
-                raise ValueError(f"tuple {t} out of range")
-            if len(set(t)) != arity:
-                raise ValueError(f"hypergraph tuple {t} not injective")
-            if tuple(sorted(t)) != t:
-                raise ValueError(f"hypergraph tuple {t} not sorted")
-            if t[-1] != new:
-                raise ValueError(f"tuple {t} does not contain the new vertex {new}")
-            if t in seen:
-                raise ValueError(f"vertex set {t} in two relations of arity {arity}")
-            seen.add(t)
+    for t in _checked(language, size, added.items(), True):
+        if t[-1] != new:
+            raise ValueError(f"tuple {t} does not contain the new vertex {new}")
     old = parent._index
     relations = list(parent.relations)
     index = object.__new__(_SupportIndex)
@@ -338,11 +333,6 @@ def make_structure(language: RelationalLanguage, size: int,
         if pool:
             canon.append((name, tuple(sorted(pool))))
     return EnumeratedStructure(language, size, tuple(canon), hypergraph)
-
-
-def compose_embeddings(inner: tuple[int, ...], outer: tuple[int, ...]) -> tuple[int, ...]:
-    """outer o inner, both given as image tuples indexed by source vertex."""
-    return tuple(outer[v] for v in inner)
 
 
 def enumerate_embeddings(a: EnumeratedStructure, b: EnumeratedStructure

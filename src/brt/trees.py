@@ -200,7 +200,8 @@ class ExplicitCoordinate:
 
 
 class CompletedCoordinate:
-    """Strong subtree completing a meet-closed node set on a fixed level set.
+    """Strong subtree completing a meet-closed node set on its level set (or
+    on any given superset of it).
 
     Directions carrying a node of the set select its restriction; all other
     directions select the all-zero extension.  The subtree therefore contains
@@ -208,13 +209,14 @@ class CompletedCoordinate:
     full branching.
     """
 
-    def __init__(self, sig: Signature, shift: int, nodes, levels: tuple[int, ...]):
+    def __init__(self, sig: Signature, shift: int, nodes,
+                 levels: tuple[int, ...] | None = None):
         self.sig = sig
         self.shift = shift
-        self.levels = tuple(levels)
         members = set(nodes)
         self.nodes = sorted(members, key=tier_key)
         node_levels = {f.level for f in self.nodes}
+        self.levels = tuple(sorted(node_levels) if levels is None else levels)
         if not node_levels <= set(self.levels):
             raise ValueError("node levels must lie inside the target level set")
         for f, g in itertools.combinations(self.nodes, 2):
@@ -293,16 +295,6 @@ def seeded_witness(sig: Signature, dimension: int, height: int, seed: int,
         tuple(SeededCoordinate(sig, i, tuple(levels), seed) for i in range(dimension)))
 
 
-def complete_to_strong(sig: Signature, shift: int, nodes,
-                       levels: tuple[int, ...] | None = None) -> CompletedCoordinate:
-    """Complete a meet-closed node set to a strong subtree on its level set
-    (or on any given superset of it)."""
-    nodes = list(nodes)
-    if levels is None:
-        levels = tuple(sorted({f.level for f in nodes}))
-    return CompletedCoordinate(sig, shift, nodes, levels)
-
-
 def coordinate_nodes(coord, levels: tuple[int, ...], cap: int = DEFAULT_CAP
                      ) -> list[list[ValuationFunction]]:
     """Materialise a single strong subtree level by level (cap-guarded)."""
@@ -327,13 +319,12 @@ def coordinate_nodes(coord, levels: tuple[int, ...], cap: int = DEFAULT_CAP
 
 @dataclass
 class ValuationTree:
-    """An explicit valuation tree: nodes by relative level, plus provenance."""
+    """An explicit valuation tree: nodes by relative level."""
 
     sig: Signature
     shift: int
     levels: tuple[int, ...]
     nodes_by_level: tuple[tuple[ValuationFunction, ...], ...]
-    witness: StrongSubtreeWitness | None = None
 
     @property
     def height(self) -> int:
@@ -381,7 +372,7 @@ def build_valuation_tree(witness: StrongSubtreeWitness, k: int | None = None,
         raise InfeasibleError(est, cap, "valuation tree construction")
     levels = _val_levels(witness, 0, k)
     tiers = tuple(tuple(sorted(d, key=_entries_key)) for d in levels)
-    return ValuationTree(witness.sig, 0, witness.levels[:k], tiers, witness)
+    return ValuationTree(witness.sig, 0, witness.levels[:k], tiers)
 
 
 def val_contains(witness: StrongSubtreeWitness, node: ValuationFunction,
@@ -498,135 +489,6 @@ def induced_tree_structure(sig: Signature, nodes: list[ValuationFunction]
 def sort_nodes(nodes: list[ValuationFunction]) -> list[ValuationFunction]:
     """Sort by the node enumeration (level, then first differing entry)."""
     return sorted(nodes, key=node_key)
-
-
-# --- induced colourings and the bounded partition search ----------------------
-
-
-def induced_colouring(witness: StrongSubtreeWitness, chi, copies,
-                      cap: int = DEFAULT_CAP) -> tuple:
-    """Colour a witness by the tuple of colours its valuation tree gives to
-    the listed copies, composed through the structural embedding."""
-    tree = build_valuation_tree(witness, cap=cap)
-    emb = structural_embedding(tree, cap)
-    domain = sort_nodes([f for m in range(tree.height)
-                         for f in level_nodes(tree.sig, 0, m, cap)])
-    return tuple(chi(tuple(emb[domain[v]] for v in copy)) for copy in copies)
-
-
-@dataclass
-class ExhaustionReport:
-    """Outcome of a bounded search that ran out of room."""
-
-    searched: int
-    depth: int
-    frontier: str
-
-
-@dataclass
-class WitnessSnapshot:
-    """A fully materialised strong vector subtree: levels and node tiers."""
-
-    sig: Signature
-    levels: tuple[int, ...]
-    tiers: tuple[tuple[tuple[ValuationFunction, ...], ...], ...]
-
-    @property
-    def nodes(self) -> list[ValuationFunction]:
-        return [f for coord in self.tiers for tier in coord for f in tier]
-
-
-def snapshot(witness: StrongSubtreeWitness, cap: int = DEFAULT_CAP) -> WitnessSnapshot:
-    tiers = tuple(tuple(tuple(tier) for tier in coordinate_nodes(c, witness.levels, cap))
-                  for c in witness.coords)
-    return WitnessSnapshot(witness.sig, witness.levels, tiers)
-
-
-def _coordinate_variants(sig: Signature, shift: int, levels: tuple[int, ...], cap: int):
-    """All explicit strong-subtree coordinates on the given levels."""
-
-    def expand(j, tier, selections):
-        if j == len(levels) - 1:
-            yield selections
-            return
-        slots = [(s, t) for s in tier for t in immediate_successors(s, cap)]
-        options = [successors_at(t, levels[j + 1], cap) for _, t in slots]
-        for combo in itertools.product(*options):
-            sel = dict(selections)
-            sel.update(zip(slots, combo))
-            yield from expand(j + 1, list(combo), sel)
-
-    for root in level_nodes(sig, shift, levels[0], cap):
-        for sel in expand(0, [root], {}):
-            yield ExplicitCoordinate(root, sel)
-
-
-def subtree_snapshots(snap: WitnessSnapshot, k: int):
-    """All strong vector subtrees of height ``k`` inside a materialised
-    witness, as snapshots.  Directions are immediate successors inside the
-    witness; each direction contributes exactly one node of the subtree."""
-    height = len(snap.levels)
-    for picks in itertools.combinations(range(height), k):
-        sub_levels = tuple(snap.levels[j] for j in picks)
-
-        def coord_subs(ci):
-            nodes = snap.tiers[ci]
-
-            def build(j, tier):
-                if j == k - 1:
-                    yield [tuple(tier)]
-                    return
-                slots = []
-                for s in tier:
-                    dirs = sorted({c.restrict(s.level + 1)
-                                   for c in nodes[picks[j] + 1] if c.extends(s)},
-                                  key=lambda f: f.values)
-                    for t in dirs:
-                        cands = sorted((c for c in nodes[picks[j + 1]] if c.extends(t)),
-                                       key=lambda f: f.values)
-                        slots.append(cands)
-                for combo in itertools.product(*slots):
-                    for rest in build(j + 1, list(combo)):
-                        yield [tuple(tier)] + rest
-
-            for root in nodes[picks[0]]:
-                yield from build(0, [root])
-
-        for combo in itertools.product(*(coord_subs(i) for i in range(len(snap.tiers)))):
-            yield WitnessSnapshot(snap.sig, sub_levels,
-                                  tuple(tuple(tiers) for tiers in combo))
-
-
-def milliken_search(sig, dimension: int, k: int, depth: int, colouring,
-                    height: int | None = None, cap: int = 200_000):
-    """Bounded search for a witness whose height-``k`` subtrees all get one
-    colour under ``colouring`` (a function of snapshots).
-
-    Only finitely branching signature trees are searchable; passing anything
-    else is a type error.  The witness space is scanned to the given depth in
-    a fixed order and an exhaustion report is returned when nothing
-    monochromatic fits or the cap is reached.
-    """
-    if not isinstance(sig, Signature):
-        raise TypeError("search requires a finitely branching signature tree")
-    if height is None:
-        height = max(k, 1) + 1
-    if height < k:
-        raise ValueError("height below k")
-    searched = 0
-    for levels in itertools.combinations(range(depth), height):
-        variants = [_coordinate_variants(sig, i, levels, cap) for i in range(dimension)]
-        for combo in itertools.product(*variants):
-            witness = StrongSubtreeWitness(sig, levels, tuple(combo))
-            searched += 1
-            if searched > cap:
-                return ExhaustionReport(searched, depth, "search cap reached")
-            snap = snapshot(witness, cap)
-            colours = {colouring(sub) for sub in subtree_snapshots(snap, k)}
-            if len(colours) <= 1:
-                return witness
-    return ExhaustionReport(searched, depth,
-                            f"all level sets of height {height} within depth {depth}")
 
 
 # --- DOT emission -------------------------------------------------------------

@@ -41,10 +41,6 @@ class Signature:
             raise IndexError("signature indices start at 1")
         return self.prefix[i - 1] if i <= len(self.prefix) else self.tail
 
-    def shifted(self, i: int) -> "Signature":
-        """The i-shift: entry j of the result is entry i+j of self."""
-        return Signature(self.prefix[i:], self.tail)
-
     def bound(self, shift: int, length: int) -> int:
         return self[shift + length]
 
@@ -257,13 +253,6 @@ def node_key(f: ValuationFunction) -> tuple:
 tier_key = attrgetter("level", "values")
 
 
-def node_less(f: ValuationFunction, g: ValuationFunction) -> bool:
-    """The node enumeration as a strict order on nodes of one tree."""
-    if (f.sig, f.shift) != (g.sig, g.shift):
-        raise TypeError("node order only compares nodes of the same tree")
-    return node_key(f) < node_key(g)
-
-
 def signature_from_language(language) -> Signature:
     """Branching bounds matching a language: two more than the symbol count
     of the next arity, up to the largest populated arity, then ones.
@@ -314,14 +303,3 @@ def tuple_colour(nodes: list[ValuationFunction]) -> int:
     if any(f.shift != nodes[0].shift for f in nodes):
         raise ValueError("nodes must come from one tree")
     return nodes[0].value(tuple(levels[1:]))
-
-
-def nodes_related(nodes: list[ValuationFunction], arity: int, colour: int) -> bool:
-    """Whether the nodes form a related set of the given arity and colour."""
-    if len(nodes) != arity or arity < 2:
-        raise ValueError("arity must match the number of nodes and be >= 2")
-    sig = nodes[0].sig
-    if not 1 <= colour <= sig.bound(nodes[0].shift, arity - 1) - 2:
-        raise ValueError(f"colour {colour} out of range for arity {arity}")
-    ordered = sorted(nodes, key=lambda f: -f.level)
-    return tuple_colour(ordered) == colour

@@ -496,6 +496,18 @@ def test_val_dot_and_table(capsys):
     assert code == 0 and len(out.splitlines()) == 3
 
 
+def test_val_with_zero_coordinates_exits_one(capsys):
+    """``--dim 0`` used to read as no ``--dim`` and build dimension 2."""
+    _one_line_error(*run(capsys, "val", "--sigma", "3", "--height", "2", "--dim", "0"),
+                    "not enough coordinates")
+
+
+def test_val_of_height_zero_is_the_empty_tree(capsys):
+    """``--height 0`` used to read as a missing ``--height``."""
+    code, out, err = run(capsys, "val", "--sigma", "3", "--height", "0")
+    assert (code, out, err) == (0, '{"height":0,"levels":[],"node_count":0,"nodes":[]}\n', "")
+
+
 def test_reduce_roundtrip_via_files(tmp_path, capsys):
     from brt.structures import make_language
     lang = make_language(("E", 2))
@@ -538,6 +550,25 @@ def test_reduce_strip(tmp_path, capsys):
                        "--forbidden", str(fp))
     assert code == 0
     assert json.loads(out)["relations"] == {}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("decode",), "decode needs --language"),
+    (("strip",), "strip needs --forbidden"),
+    (("unaries", "--count", "-1"), "--count must be a natural number, got -1"),
+])
+def test_reduce_bad_input_exits_one(files, capsys, argv, message):
+    """Each used to raise a traceback (no ``--language`` or ``--forbidden``)
+    or to exit 0 with an empty product (a negative count)."""
+    _one_line_error(*run(capsys, "reduce", *argv, "--in", files["path3"]), message)
+
+
+def test_reduce_strip_of_an_object_family_exits_one(files, tmp_path, capsys):
+    """A forbidden family is a list; an object used to read as no family."""
+    p = tmp_path / "family.json"
+    p.write_text("{}")
+    _one_line_error(*run(capsys, "reduce", "strip", "--in", files["path3"], "--forbidden", str(p)),
+                    "a forbidden family must be a list, got {}")
 
 
 def test_adversarial_inf_and_tree_like(capsys):

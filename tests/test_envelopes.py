@@ -55,7 +55,7 @@ def naive_verify(emb, k=None):
     k = k or emb.k
     sig = emb.sig
     images = [emb.images[v] for v in sorted(emb.images)]
-    top = emb.level_top + 1
+    top = max(emb.vertex_level.values(), default=0) + 1
 
     def decreasing(n, length):
         return itertools.combinations(range(n - 1, -1, -1), length)

@@ -14,7 +14,6 @@ from brt.structures import (
     _derived,
     ExtensionRequest,
     GenericPrefix,
-    compose_embeddings,
     empty_prefix,
     enumerate_embeddings,
     gaifman_irreducible,
@@ -88,7 +87,7 @@ def test_embedding_composition_closure():
         ac = set(enumerate_embeddings(a, c))
         for e1 in ab:
             for e2 in bc:
-                assert compose_embeddings(e1, e2) in ac
+                assert tuple(e2[v] for v in e1) in ac
 
 
 def test_embeddings_monotone():
@@ -508,3 +507,20 @@ def test_derived_validates_the_new_tuples(added, message):
     grown = _derived(parent, lang, {"f": [(0, 2)], "t": [(0, 1, 2)]})
     assert grown == make_structure(lang, 3, {"e": [(0, 1)], "f": [(0, 2)], "t": [(0, 1, 2)]},
                                    hypergraph=True)
+
+
+@pytest.mark.parametrize("added,message", [
+    ({"e": [(0, 1, 2)]}, "tuple (0, 1, 2) has wrong arity for e"),
+    ({"e": [(1, 3)]}, "tuple (1, 3) out of range"),
+    ({"t": [(2, 2, 2)]}, "hypergraph tuple (2, 2, 2) not injective"),
+    ({"e": [(2, 0)]}, "hypergraph tuple (2, 0) not sorted"),
+    ({"e": [(0, 2)], "f": [(0, 2)]}, "vertex set (0, 2) in two relations of arity 2"),
+])
+def test_direct_construction_validates_like_derived(added, message):
+    """The rows of ``test_derived_validates_the_new_tuples`` that every
+    structure shares, through the dataclass on the grown vertex set."""
+    lang = make_language(("e", 2), ("f", 2), ("t", 3))
+    relations = tuple((name, tuple(tuples)) for name, tuples in added.items())
+    with pytest.raises(ValueError) as exc:
+        EnumeratedStructure(lang, 3, relations, hypergraph=True)
+    assert str(exc.value) == message

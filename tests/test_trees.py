@@ -18,25 +18,19 @@ from brt.trees import (
     CompletedCoordinate,
     _tag_digest,
     ExplicitCoordinate,
-    ExhaustionReport,
     StrongSubtreeWitness,
     ValuationTree,
     build_valuation_tree,
-    complete_to_strong,
     coordinate_nodes,
     derived_inner_tree,
     full_tree_witness,
     hashed_extension,
     immediate_successors,
-    induced_colouring,
     induced_tree_structure,
     level_nodes,
-    milliken_search,
     seeded_witness,
-    snapshot,
     sort_nodes,
     structural_embedding,
-    subtree_snapshots,
     successors_at,
     tree_to_dot,
     val_contains,
@@ -67,6 +61,13 @@ from conftest import (
     naive_hashed_extension,
     prefix_structure,
     tree_embeddings_brute,
+)
+from milliken import (
+    ExhaustionReport,
+    induced_colouring,
+    milliken_search,
+    snapshot,
+    subtree_snapshots,
 )
 
 
@@ -314,7 +315,7 @@ def test_completion_of_already_strong_is_identity():
     w = seeded_witness(GRAPH_SIG, 1, 3, 2)
     tiers = coordinate_nodes(w.coords[0], w.levels)
     nodes = [f for t in tiers for f in t]
-    done = complete_to_strong(GRAPH_SIG, 0, nodes)
+    done = CompletedCoordinate(GRAPH_SIG, 0, nodes)
     new_tiers = assert_strong_subtree(done, done.levels)
     assert [set(t) for t in new_tiers] == [set(t) for t in tiers]
 
@@ -322,14 +323,14 @@ def test_completion_of_already_strong_is_identity():
 def test_completion_fills_missing_directions():
     root = zero_valuation(GRAPH_SIG, 0, 0)
     leaf = make_valuation(GRAPH_SIG, 0, 2, {(0,): 2, (1, 0): 0, (1,): 1})
-    done = complete_to_strong(GRAPH_SIG, 0, [root, leaf])
+    done = CompletedCoordinate(GRAPH_SIG, 0, [root, leaf])
     tiers = assert_strong_subtree(done, (0, 2))
     assert leaf in tiers[1]
     assert len(tiers[1]) == 3  # one node above each level-1 direction
 
 
 def test_completion_of_empty_is_empty():
-    done = complete_to_strong(GRAPH_SIG, 0, [])
+    done = CompletedCoordinate(GRAPH_SIG, 0, [])
     assert done.root is None
     assert coordinate_nodes(done, ()) == []
 
@@ -338,12 +339,12 @@ def test_completion_rejects_non_meet_closed():
     a = make_valuation(GRAPH_SIG, 0, 2, {(0,): 1})
     b = make_valuation(GRAPH_SIG, 0, 2, {(0,): 2})
     with pytest.raises(ValueError):
-        complete_to_strong(GRAPH_SIG, 0, [a, b])
+        CompletedCoordinate(GRAPH_SIG, 0, [a, b])
 
 
 def test_completion_onto_larger_level_set():
     leaf = make_valuation(GRAPH_SIG, 0, 2, {(1,): 1})
-    done = complete_to_strong(GRAPH_SIG, 0, [leaf.restrict(0), leaf], (0, 1, 2, 4))
+    done = CompletedCoordinate(GRAPH_SIG, 0, [leaf.restrict(0), leaf], (0, 1, 2, 4))
     tiers = assert_strong_subtree(done, (0, 1, 2, 4))
     assert leaf in tiers[2]
 

@@ -31,8 +31,6 @@ from brt.valuation import (
     make_valuation,
     meet,
     node_key,
-    node_less,
-    nodes_related,
     signature_from_language,
     tuple_colour,
     zero_valuation,
@@ -94,7 +92,7 @@ def test_unaries_do_not_shape_signature():
 @given(st.lists(st.integers(1, 5), max_size=6), st.integers(0, 8), st.integers(1, 8))
 def test_shift_reads_through(prefix, i, j):
     sig = Signature(tuple(prefix), 1)
-    assert sig.shifted(i)[j] == sig[i + j]
+    assert sig.bound(i, j) == sig[i + j]
 
 
 # --- the validating constructor ----------------------------------------------------
@@ -313,9 +311,9 @@ def test_saturated_product_at_the_limit():
 def test_tuple_colour_reads_definition():
     x1 = make_valuation(GRAPH_SIG, 0, 1, {(0,): 1})
     x0 = make_valuation(GRAPH_SIG, 0, 2, {(1,): 1})
-    assert nodes_related([x0, x1], 2, 1)
+    assert tuple_colour([x0, x1]) == 1
     x0b = make_valuation(GRAPH_SIG, 0, 2, {(1,): 2})
-    assert not nodes_related([x0b, x1], 2, 1)
+    assert tuple_colour([x0b, x1]) == 2
 
 
 def test_tuple_colour_requires_distinct_levels():
@@ -328,16 +326,16 @@ def test_tuple_colour_requires_distinct_levels():
 def test_node_less_level_dominates():
     small = make_valuation(GRAPH_SIG, 0, 1, {(0,): 2})
     big = zero_valuation(GRAPH_SIG, 0, 2)
-    assert node_less(small, big) and not node_less(big, small)
+    assert node_key(small) < node_key(big) and not node_key(big) < node_key(small)
 
 
 def test_node_less_total_order_on_level():
     nodes = brute_level_nodes(TERNARY_SIG, 0, 2)
     for a, b in itertools.combinations(nodes, 2):
-        assert node_less(a, b) != node_less(b, a)
+        assert (node_key(a) < node_key(b)) != (node_key(b) < node_key(a))
     for a, b, c in itertools.combinations(nodes, 3):
-        if node_less(a, b) and node_less(b, c):
-            assert node_less(a, c)
+        if node_key(a) < node_key(b) < node_key(c):
+            assert node_key(a) < node_key(c)
 
 
 def test_meet_and_comparability():
@@ -354,14 +352,12 @@ def test_meet_and_comparability():
 def _agrees_with_twins(f, g):
     assert f.extends(g) == brute_extends(f, g)
     if (f.sig, f.shift) != (g.sig, g.shift):
-        with pytest.raises(TypeError):
-            node_less(f, g)
         with pytest.raises(ValueError):
             meet(f, g)
         with pytest.raises(ValueError):
             comparable(f, g)
         return
-    assert node_less(f, g) == brute_node_less(f, g) == (node_key(f) < node_key(g))
+    assert brute_node_less(f, g) == (node_key(f) < node_key(g))
     cut = brute_meet_level(f, g)
     assert meet(f, g) == f.restrict(cut)
     assert comparable(f, g) == (cut == min(f.level, g.level))
