@@ -176,6 +176,8 @@ def cmd_reduce(args, cfg: Config) -> str:
         out = decode_structure(_structure(args.infile), lang)
         return bio.dumps_canonical(bio.structure_to_json(out))
     if args.action == "unaries":
+        if args.countable == (args.count is not None):
+            raise ValueError("unaries needs exactly one of --count and --countable")
         if args.count is not None and args.count < 0:
             raise ValueError(f"--count must be a natural number, got {args.count}")
         base = _structure(args.infile)

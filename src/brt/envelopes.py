@@ -310,6 +310,10 @@ def compute_envelope(emb: EnvelopingEmbedding, subset) -> Envelope:
         raise ValueError(f"subset size {len(subset)} differs from k={emb.k}")
     if len(set(subset)) != len(subset):
         raise ValueError("subset has repeated vertices")
+    size = emb.structure.size
+    for v in subset:
+        if not 0 <= v < size:
+            raise ValueError(f"subset vertex {v} is outside the prefix (size {size})")
     if emb.k == 0 or not subset:
         return Envelope(emb.sig, 0, (), (), 0, (), None, True)
     verdict = emb.verify()

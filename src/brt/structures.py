@@ -250,20 +250,28 @@ class _SupportIndex:
     hypergraph has one pair per support."""
 
     def __init__(self, structure: EnumeratedStructure):
-        grouped: dict[tuple[int, ...], list] = {}
-        for name, t in structure.relation_items():
-            support = t if structure.hypergraph else tuple(sorted(set(t)))
-            grouped.setdefault(support, []).append(
-                (name, tuple(support.index(v) for v in t)))
-        # equal patterns share one tuple: a hypergraph has one per symbol
-        shared: dict[tuple, tuple] = {}
         self.patterns = {}
-        for s, pairs in grouped.items():
-            pattern = tuple(sorted(pairs))
-            self.patterns[s] = shared.setdefault(pattern, pattern)
         self.by_size: dict[int, list[tuple[int, ...]]] = {}
-        for s in self.patterns:
-            self.by_size.setdefault(len(s), []).append(s)
+        if structure.hypergraph:
+            # each tuple is its own support, spelled by its symbol at
+            # positions 0, 1, ...: one shared pattern per symbol
+            for name, tuples in structure.relations:
+                arity = structure.language.arity_of(name)
+                self.patterns.update(dict.fromkeys(tuples, ((name, tuple(range(arity))),)))
+                self.by_size.setdefault(arity, []).extend(tuples)
+        else:
+            grouped: dict[tuple[int, ...], list] = {}
+            for name, t in structure.relation_items():
+                support = tuple(sorted(set(t)))
+                grouped.setdefault(support, []).append(
+                    (name, tuple(support.index(v) for v in t)))
+            # equal patterns share one tuple
+            shared: dict[tuple, tuple] = {}
+            for s, pairs in grouped.items():
+                pattern = tuple(sorted(pairs))
+                self.patterns[s] = shared.setdefault(pattern, pattern)
+            for s in self.patterns:
+                self.by_size.setdefault(len(s), []).append(s)
         # position of each symbol in the structure's canonical relation order
         self.name_order = {name: i for i, (name, _) in enumerate(structure.relations)}
 
@@ -342,60 +350,86 @@ def enumerate_embeddings(a: EnumeratedStructure, b: EnumeratedStructure
     An embedding is a strictly increasing vertex map under which the induced
     substructure of ``b`` on the image equals ``a`` (relations are preserved
     and reflected).  The search extends increasing partial maps one source
-    vertex at a time; when vertex ``i`` gets image ``w`` it compares only the
-    supports whose largest vertex is ``i`` with the supports whose largest
-    vertex is ``w`` inside the image, and drops the branch at the first
-    mismatch.
+    vertex at a time and keeps the images left for vertex ``i`` as a bit
+    mask over ``b``'s vertices.  Each support ``s`` of ``b`` sets bit
+    ``s[-1]`` in a mask keyed by ``s[:-1]`` and in one keyed by ``s[:-1]``
+    and its pattern: a support of ``a`` at ``i`` intersects the window with
+    the mask of its image and pattern, and a set that ``a`` leaves unrelated
+    at ``i`` removes the mask of its image.  When ``a`` leaves more sets
+    unrelated at ``i`` than ``b`` has supports in the window, each candidate
+    instead counts ``b``'s supports at it inside the image.
     """
     if a.language != b.language:
         raise LanguageMismatchError("embedding between different languages")
     n, m = a.size, b.size
-    a_pat, b_pat = a._index.patterns, b._index.patterns
-    sizes = sorted(set(a._index.by_size) | set(b._index.by_size))
-    # supports of a with their patterns, and supports of b, by largest vertex
+    if n == 0:
+        return [()]
+    if m < n:
+        return []
+    # bit s[-1] for each support s of b: keyed by s[:-1] within the table of
+    # its pattern, and by s[:-1] alone; and each s[:-1] by top vertex
+    by_pattern: dict[tuple, dict[tuple[int, ...], int]] = {}
+    any_top: dict[tuple[int, ...], int] = {}
+    b_top: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    for s, pat in b._index.patterns.items():
+        rest, top = s[:-1], s[-1]
+        bit = 1 << top
+        table = by_pattern.setdefault(pat, {})
+        table[rest] = table.get(rest, 0) | bit
+        any_top[rest] = any_top.get(rest, 0) | bit
+        b_top[top].append(rest)
+    # below[w]: the supports of b whose largest vertex is below w
+    below = list(itertools.accumulate(map(len, b_top), initial=0))
+    # a's supports at each top vertex, as (rest, b's table of their pattern)
+    a_pat = a._index.patterns
     a_top: list[list] = [[] for _ in range(n)]
     for s, pat in a_pat.items():
-        a_top[s[-1]].append((s, pat))
-    b_top: list[list] = [[] for _ in range(m)]
-    for s in b_pat:
-        b_top[s[-1]].append(s)
-    # at step i: every set of earlier source vertices plus i, with a's
-    # pattern on it (None when unrelated); built on first use
+        a_top[s[-1]].append((s[:-1], by_pattern.get(pat, {})))
+    # sets of earlier source vertices that a leaves unrelated at i, only in
+    # the sizes of b's supports; built on first use
+    sizes = sorted(b._index.by_size)
     lookups = [sum(comb(i, k - 1) for k in sizes) for i in range(n)]
-    subsets: list[list | None] = [None] * n
-    phi: list[int] = []
-    image: set[int] = set()
+    unrelated: list[list | None] = [None] * n
     out: list[tuple[int, ...]] = []
 
-    def consistent(i: int, w: int) -> bool:
-        if lookups[i] <= len(a_top[i]) + len(b_top[w]):
-            if subsets[i] is None:
-                subsets[i] = [(rest + (i,), a_pat.get(rest + (i,)))
-                              for k in sizes
-                              for rest in itertools.combinations(range(i), k - 1)]
-            checks = subsets[i]
+    def extend(i: int, lo: int, phi: tuple[int, ...]) -> None:
+        hi = m - n + i
+        cand = (2 << hi) - (1 << lo)
+        for rest, table in a_top[i]:
+            cand &= table.get(tuple([phi[v] for v in rest]), 0)
+            if not cand:
+                return
+        if lookups[i] <= len(a_top[i]) + below[hi + 1] - below[lo]:
+            if unrelated[i] is None:
+                unrelated[i] = [rest for k in sizes
+                                for rest in itertools.combinations(range(i), k - 1)
+                                if rest + (i,) not in a_pat]
+            for rest in unrelated[i]:
+                cand &= ~any_top.get(tuple([phi[v] for v in rest]), 0)
+            ws = _bits(cand)
         else:
             # a's supports at i map to distinct supports of b at w, so equal
             # counts rule out extra supports of b inside the image
-            checks = a_top[i]
-            inside = sum(all(v in image for v in s[:-1]) for s in b_top[w])
-            if inside != len(checks):
-                return False
-        return all(b_pat.get(tuple([phi[v] for v in s])) == pat for s, pat in checks)
+            want, image = len(a_top[i]), set(phi)
+            ws = [w for w in _bits(cand)
+                  if sum(image.issuperset(rest) for rest in b_top[w]) == want]
+        if i == n - 1:
+            out.extend([phi + (w,) for w in ws])
+        else:
+            for w in ws:
+                extend(i + 1, w + 1, phi + (w,))
 
-    def extend(i: int, lo: int) -> None:
-        if i == n:
-            out.append(tuple(phi))
-            return
-        for w in range(lo, m - n + i + 1):
-            phi.append(w)
-            image.add(w)
-            if consistent(i, w):
-                extend(i + 1, w + 1)
-            image.discard(w)
-            phi.pop()
+    extend(0, 0, ())
+    return out
 
-    extend(0, 0)
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

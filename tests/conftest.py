@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import random
 import re
+from math import comb
 
 import pytest
 
@@ -25,6 +26,7 @@ from brt.structures import (
 from hypothesis import strategies as st
 
 from brt import envelopes
+from brt.errors import LanguageMismatchError
 from brt.reductions import encoded_language, encoded_symbol_name
 from brt.envelopes import (
     BranchMarker,
@@ -334,6 +336,64 @@ def brute_embeddings(a, b):
     tuple of ``b`` whose induced type is ``a``'s."""
     return [combo for combo in itertools.combinations(range(b.size), a.size)
             if brute_induced_relations(b, combo) == a.relations]
+
+
+def naive_enumerate_embeddings(a, b):
+    """The embedding search that tests each candidate image on its own: when
+    vertex ``i`` gets image ``w`` it compares the supports whose largest
+    vertex is ``i`` with the supports whose largest vertex is ``w`` inside the
+    image, and drops the branch at the first mismatch; the twin of the
+    bit-mask search."""
+    if a.language != b.language:
+        raise LanguageMismatchError("embedding between different languages")
+    n, m = a.size, b.size
+    a_pat, b_pat = a._index.patterns, b._index.patterns
+    sizes = sorted(set(a._index.by_size) | set(b._index.by_size))
+    # supports of a with their patterns, and supports of b, by largest vertex
+    a_top: list[list] = [[] for _ in range(n)]
+    for s, pat in a_pat.items():
+        a_top[s[-1]].append((s, pat))
+    b_top: list[list] = [[] for _ in range(m)]
+    for s in b_pat:
+        b_top[s[-1]].append(s)
+    # at step i: every set of earlier source vertices plus i, with a's
+    # pattern on it (None when unrelated); built on first use
+    lookups = [sum(comb(i, k - 1) for k in sizes) for i in range(n)]
+    subsets: list[list | None] = [None] * n
+    phi: list[int] = []
+    image: set[int] = set()
+    out: list[tuple[int, ...]] = []
+
+    def consistent(i: int, w: int) -> bool:
+        if lookups[i] <= len(a_top[i]) + len(b_top[w]):
+            if subsets[i] is None:
+                subsets[i] = [(rest + (i,), a_pat.get(rest + (i,)))
+                              for k in sizes
+                              for rest in itertools.combinations(range(i), k - 1)]
+            checks = subsets[i]
+        else:
+            # a's supports at i map to distinct supports of b at w, so equal
+            # counts rule out extra supports of b inside the image
+            checks = a_top[i]
+            inside = sum(all(v in image for v in s[:-1]) for s in b_top[w])
+            if inside != len(checks):
+                return False
+        return all(b_pat.get(tuple([phi[v] for v in s])) == pat for s, pat in checks)
+
+    def extend(i: int, lo: int) -> None:
+        if i == n:
+            out.append(tuple(phi))
+            return
+        for w in range(lo, m - n + i + 1):
+            phi.append(w)
+            image.add(w)
+            if consistent(i, w):
+                extend(i + 1, w + 1)
+            image.discard(w)
+            phi.pop()
+
+    extend(0, 0)
+    return out
 
 
 def brute_strip_bad(m, family):

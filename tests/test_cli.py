@@ -563,6 +563,23 @@ def test_reduce_bad_input_exits_one(files, capsys, argv, message):
     _one_line_error(*run(capsys, "reduce", *argv, "--in", files["path3"]), message)
 
 
+@pytest.mark.parametrize("flags", [(), ("--count", "2", "--countable")])
+def test_reduce_unaries_needs_exactly_one_of_count_and_countable(files, capsys, flags):
+    """Without ``--count`` the product used to be countable whether or not
+    ``--countable`` was given, and with both ``--countable`` was dropped."""
+    _one_line_error(*run(capsys, "reduce", "unaries", "--in", files["path3"], *flags),
+                    "unaries needs exactly one of --count and --countable")
+
+
+@pytest.mark.parametrize("subset,vertex", [("0,5", 5), ("-1,0", -1)])
+def test_envelope_subset_outside_the_prefix_exits_one(files, capsys, subset, vertex):
+    """A subset vertex outside the prefix used to exit with its bare
+    ``KeyError``, ``brt: error: 5``."""
+    _one_line_error(*run(capsys, "envelope", "--k", "2", f"--subset={subset}",
+                         "--prefix", files["path3"]),
+                    f"subset vertex {vertex} is outside the prefix (size 3)")
+
+
 def test_reduce_strip_of_an_object_family_exits_one(files, tmp_path, capsys):
     """A forbidden family is a list; an object used to read as no family."""
     p = tmp_path / "family.json"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +25,15 @@ from brt.structures import (
     make_structure,
     uniform_language,
 )
+from brt.trees import induced_tree_structure, level_nodes
+from brt.valuation import Signature
 
 from conftest import (
     LOOKUP_LANGUAGES,
     brute_embeddings,
     brute_induced_relations,
     lookup_structures,
+    naive_enumerate_embeddings,
     naive_is_covered,
     naive_realize,
     naive_related,
@@ -66,9 +70,11 @@ def test_identity_embedding_present():
 
 
 def test_language_mismatch_raises():
-    with pytest.raises(LanguageMismatchError):
-        enumerate_embeddings(graph(1, []),
-                             make_structure(uniform_language(3), 2, {}, hypergraph=True))
+    a = graph(1, [])
+    b = make_structure(uniform_language(3), 2, {}, hypergraph=True)
+    for search in (enumerate_embeddings, naive_enumerate_embeddings):
+        with pytest.raises(LanguageMismatchError, match="embedding between different languages"):
+            search(a, b)
 
 
 def test_embeddings_reflect_relations():
@@ -105,35 +111,81 @@ SEARCH_LANGUAGES = [
     make_language(("u", 1), ("w", 1)),
     uniform_language(3),
     make_language(("u", 1), ("e", 2), ("t", 3)),
+    make_language(countable_arities={1, 3}).with_countable_symbol(1, 2)
+    .with_countable_symbol(3, 1).with_countable_symbol(3, 4),
+    make_language(("e", 2), countable_arities={2}).with_countable_symbol(2, 5),
 ]
 
 
 @st.composite
 def structure_pairs(draw):
     """A target ``b`` and a source ``a`` in one language: ``a`` is ``b``
-    itself, a scanned induced piece of ``b`` (so embeddings exist), or an
-    independent random structure."""
+    itself, a scanned induced piece of ``b`` (so embeddings exist), an
+    independent random structure, an empty structure or one larger than
+    ``b``.  A non-hypergraph may repeat vertices in a tuple, so a relation
+    of any arity can have a one-vertex support."""
     lang = draw(st.sampled_from(SEARCH_LANGUAGES))
     hyper = draw(st.booleans())
+    injective = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     density = draw(st.sampled_from([0.15, 0.35, 0.6, 0.9]))
-    make = random_hypergraph if hyper else random_general_structure
-    b = make(lang, draw(st.integers(0, 7)), rng, density)
-    kind = draw(st.sampled_from(["same", "piece", "random"]))
+
+    def make(size):
+        if hyper:
+            return random_hypergraph(lang, size, rng, density)
+        return random_general_structure(lang, size, rng, density, injective)
+
+    b = make(draw(st.integers(0, 8)))
+    kind = draw(st.sampled_from(["same", "piece", "random", "empty", "larger"]))
     if kind == "same":
         return b, b
     if kind == "piece":
-        vs = draw(st.sets(st.integers(0, max(b.size - 1, 0)), max_size=min(b.size, 4)))
+        vs = draw(st.sets(st.integers(0, max(b.size - 1, 0)), max_size=min(b.size, 5)))
         rels = brute_induced_relations(b, vs)
         return EnumeratedStructure(lang, len(vs), rels, hyper), b
-    return make(lang, draw(st.integers(0, 4)), rng, density), b
+    if kind == "empty":
+        return make(0), b
+    if kind == "larger":
+        return make(b.size + draw(st.integers(1, 2))), b
+    return make(draw(st.integers(0, 5))), b
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(structure_pairs())
 def test_search_matches_subset_scan(pair):
+    """The bit-mask search against the per-candidate search and the subset scan."""
     a, b = pair
-    assert enumerate_embeddings(a, b) == brute_embeddings(a, b)
+    assert enumerate_embeddings(a, b) == naive_enumerate_embeddings(a, b) == brute_embeddings(a, b)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mask_search_matches_the_twin_on_large_sources(seed):
+    """Sources nearly as large as the target: late vertices leave more sets
+    unrelated than the target has supports in their window, so the search
+    counts the target's supports inside the image instead."""
+    rng = random.Random(seed)
+    lang = make_language(("u", 1), ("e", 2), ("t", 3))
+    b = random_hypergraph(lang, 13, rng, rng.choice((0.05, 0.15, 0.3)))
+    for a in (b, b.induced(v for v in range(13) if v % 4), b.induced(range(1, 12))):
+        assert enumerate_embeddings(a, b) == naive_enumerate_embeddings(a, b)
+    g = random_general_structure(lang, 10, rng, 0.1)
+    for a in (g, g.induced(range(2, 10))):
+        assert enumerate_embeddings(a, g) == naive_enumerate_embeddings(a, g)
+
+
+def test_one_ternary_tuple_into_the_ternary_tree_hypergraph_is_quick():
+    """Each embedding is one ternary support of the tree hypergraph on the
+    231 nodes below height 4.  Testing each candidate image on its own,
+    the search tried all two million triples for these, for seconds."""
+    sig = Signature((2, 3))
+    b = induced_tree_structure(sig, [f for m in range(4) for f in level_nodes(sig, 0, m)])
+    a = make_structure(b.language, 3, {"r3c1": [(0, 1, 2)]}, hypergraph=True)
+    start = time.perf_counter()
+    maps = enumerate_embeddings(a, b)
+    elapsed = time.perf_counter() - start
+    assert len(maps) == 2744
+    assert maps == sorted(s for s in b._index.by_size[3] if b.related("r3c1", s))
+    assert elapsed < 1.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -239,6 +291,20 @@ def test_colour_between_matches_scan_on_countable_binary_prefixes(colours):
     _assert_slot_choices_match_scan(ctx.prefix)
     for a, b in itertools.permutations(range(ctx.size), 2):
         assert ctx.colour_between(a, b) == naive_slot_choice(ctx.prefix, (min(a, b),), max(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SEARCH_LANGUAGES), st.integers(0, 2 ** 32 - 1), st.integers(0, 8),
+       st.sampled_from([0.15, 0.5, 0.9]))
+def test_hypergraph_index_matches_the_general_path(lang, seed, size, density):
+    """A hypergraph's index, one shared pattern per symbol, against the
+    index of the same tuples read as a general structure."""
+    h = random_hypergraph(lang, size, random.Random(seed), density)
+    g = EnumeratedStructure(h.language, h.size, h.relations)
+    assert h._index.patterns == g._index.patterns
+    assert h._index.by_size == g._index.by_size
+    assert h._index.name_order == g._index.name_order
+    assert len({id(p) for p in h._index.patterns.values()}) == len(h.relations)
 
 
 # --- hypergraph invariants ----------------------------------------------------------
