@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import adversarial as adv
 from . import io as bio
@@ -39,17 +38,6 @@ from .trees import (
 from .valuation import count_level_nodes, signature_from_language
 
 
-@dataclass
-class Config:
-    cap: int = DEFAULT_CAP
-    fmt: str = "json"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.cap <= 0:
-            raise ValueError("caps must be positive")
-
-
 def _env_cap() -> int:
     raw = os.environ.get("BRT_CAP")
     if raw is None:
@@ -69,20 +57,12 @@ def _structure(path: str):
     return bio.structure_from_json(_load(path))
 
 
-def _sigma(args, structure=None):
-    if getattr(args, "sigma", None):
-        return bio.parse_signature(args.sigma)
-    if structure is not None:
-        return signature_from_language(structure.language)
-    raise ValueError("missing --sigma")
-
-
-def cmd_sig(args, cfg: Config) -> str:
+def cmd_sig(args) -> str:
     lang = bio.language_from_json(_load(args.lang))
     return bio.dumps_canonical(bio.signature_to_json(signature_from_language(lang)))
 
 
-def cmd_tree(args, cfg: Config) -> str:
+def cmd_tree(args) -> str:
     sig = bio.parse_signature(args.sigma)
     if args.count_only:
         count = count_level_nodes(sig, args.shift, args.level)
@@ -90,15 +70,15 @@ def cmd_tree(args, cfg: Config) -> str:
             raise ValueError(f"level {args.level} has at least 10^{ESTIMATE_DIGITS} - 1 nodes, "
                              f"past the {ESTIMATE_DIGITS}-digit limit of exact counts")
         return bio.dumps_canonical({"count": count})
-    nodes = level_nodes(sig, args.shift, args.level, cfg.cap)
-    if cfg.fmt == "table":
+    nodes = level_nodes(sig, args.shift, args.level, args.cap)
+    if args.output == "table":
         lines = ["\n"] * (2 * len(nodes))
         lines[::2] = bio.nodes_json(nodes)
         return "".join(lines)
     return bio.dumps_with_nodes({"count": len(nodes), "nodes": nodes})
 
 
-def cmd_val(args, cfg: Config) -> str:
+def cmd_val(args) -> str:
     if args.witness:
         witness = bio.witness_from_json(_load(args.witness))
     else:
@@ -110,10 +90,10 @@ def cmd_val(args, cfg: Config) -> str:
         if args.full:
             witness = full_tree_witness(sig, dim, args.height)
         else:
-            witness = seeded_witness(sig, dim, args.height, cfg.seed, levels)
+            witness = seeded_witness(sig, dim, args.height, args.seed, levels)
     tree = build_valuation_tree(witness, args.height if args.witness is None else None,
-                                cap=cfg.cap)
-    if cfg.fmt == "dot":
+                                cap=args.cap)
+    if args.output == "dot":
         return tree_to_dot(tree)
     return bio.dumps_with_nodes({"levels": list(tree.levels),
                                  "height": tree.height,
@@ -121,15 +101,15 @@ def cmd_val(args, cfg: Config) -> str:
                                  "nodes": tree.nodes_by_level})
 
 
-def cmd_embed(args, cfg: Config) -> str:
+def cmd_embed(args) -> str:
     a, b = _structure(args.a), _structure(args.b)
     maps = enumerate_embeddings(a, b)
-    if cfg.fmt == "table":
+    if args.output == "table":
         return "".join(",".join(map(str, m)) + "\n" for m in maps)
     return bio.dumps_canonical({"count": len(maps), "embeddings": [list(m) for m in maps]})
 
 
-def cmd_envelope(args, cfg: Config) -> str:
+def cmd_envelope(args) -> str:
     structure = _structure(args.prefix)
     subset = tuple(int(v) for v in args.subset.split(","))
     emb = build_enveloping(structure, args.k)
@@ -151,21 +131,21 @@ def cmd_envelope(args, cfg: Config) -> str:
                   for st in env.stages],
         "tree_nodes": env.tree_nodes,
     }
-    if cfg.fmt == "dot" and env.tree is not None:
+    if args.output == "dot" and env.tree is not None:
         return tree_to_dot(env.tree, "envelope")
     return bio.dumps_with_nodes(report)
 
 
-def cmd_degree(args, cfg: Config) -> str:
+def cmd_degree(args) -> str:
     a = _structure(args.a)
-    sig = _sigma(args, a)
-    count = degree_upper_bound(a, args.height, sig, cap=cfg.cap)
-    if cfg.fmt == "table":
+    sig = bio.parse_signature(args.sigma) if args.sigma else signature_from_language(a.language)
+    count = degree_upper_bound(a, args.height, sig, cap=args.cap)
+    if args.output == "table":
         return f"{count}\n"
     return bio.dumps_canonical({"count": count, "height": args.height})
 
 
-def cmd_reduce(args, cfg: Config) -> str:
+def cmd_reduce(args) -> str:
     if args.action == "encode":
         out = encode_structure(_structure(args.infile))
         return bio.dumps_canonical(bio.structure_to_json(out))
@@ -182,17 +162,16 @@ def cmd_reduce(args, cfg: Config) -> str:
             raise ValueError(f"--count must be a natural number, got {args.count}")
         base = _structure(args.infile)
         u = None if args.countable else args.count
-        product = unary_expand(base, u, size_cap=cfg.cap)
+        product = unary_expand(base, u, size_cap=args.cap)
         return bio.dumps_canonical({"pairs": [list(p) for p in product.pairs],
                                     "structure": bio.structure_to_json(product.structure)})
-    if args.action == "strip":
-        if args.forbidden is None:
-            raise ValueError("strip needs --forbidden")
-        m = _structure(args.infile)
-        family = tuple(bio.structure_from_json(o)
-                       for o in bio._typed(_load(args.forbidden), list, "a forbidden family"))
-        return bio.dumps_canonical(bio.structure_to_json(strip_bad(m, family)))
-    raise ValueError(f"unknown reduce action {args.action}")
+    # argparse's choices leave "strip"
+    if args.forbidden is None:
+        raise ValueError("strip needs --forbidden")
+    m = _structure(args.infile)
+    family = tuple(bio.structure_from_json(o)
+                   for o in bio._typed(_load(args.forbidden), list, "a forbidden family"))
+    return bio.dumps_canonical(bio.structure_to_json(strip_bad(m, family)))
 
 
 def _parse_node(text: str) -> tuple[int, ...]:
@@ -205,7 +184,7 @@ def _parse_node(text: str) -> tuple[int, ...]:
     return node
 
 
-def cmd_adversarial(args, cfg: Config) -> str:
+def cmd_adversarial(args) -> str:
     for option in ("colour", "height", "prefix_size", "colours", "bound", "identity", "radial"):
         value = getattr(args, option)
         if value is not None and value < 0:
@@ -214,7 +193,7 @@ def cmd_adversarial(args, cfg: Config) -> str:
         node = _parse_node(args.node)
         return bio.dumps_canonical({"colour": adv.seq_colour(node)})
     if args.action == "hl-witness":
-        subtree = adv.random_omega_subtree(cfg.seed, height=args.height)
+        subtree = adv.random_omega_subtree(args.seed, height=args.height)
         node = adv.seq_colour_witness(subtree, args.colour)
         return bio.dumps_canonical({"root": list(subtree.root),
                                     "levels": list(subtree.levels),
@@ -223,44 +202,43 @@ def cmd_adversarial(args, cfg: Config) -> str:
     if args.action == "inf":
         ctx = adv.PersistentColouringContext.fresh()
         while ctx.size < args.prefix_size:
-            ctx = _grown(ctx, adv.GrowPrefix(adv._plain_vertex_requests(1)), cfg, "inf")
+            ctx = _grown(ctx, adv.GrowPrefix(adv._plain_vertex_requests(1)), args.cap, "inf")
         copies = {}
         for p in range(args.colours + 1):
             while True:
                 res = adv.triple_witness(ctx, p)
                 if isinstance(res, adv.GrowPrefix):
-                    ctx = _grown(ctx, res, cfg, "inf")
+                    ctx = _grown(ctx, res, args.cap, "inf")
                     continue
                 copies[str(p)] = list(res)
                 break
         return bio.dumps_canonical({"prefix_size": ctx.size, "copies": copies})
-    if args.action == "tree-like":
-        if args.identity is not None or args.radial is not None:
-            if args.identity is not None:
-                grow = adv.GrowPrefix(adv._plain_vertex_requests(args.identity))
-                fmap = {v: v for v in range(args.identity)}
-            else:
-                grow, fmap = radial_example(args.radial)
-            prefix = _grown(adv.PersistentColouringContext.fresh(), grow, cfg, "tree-like").prefix
+    # argparse's choices leave "tree-like"
+    if args.identity is not None or args.radial is not None:
+        if args.identity is not None:
+            grow = adv.GrowPrefix(adv._plain_vertex_requests(args.identity))
+            fmap = {v: v for v in range(args.identity)}
         else:
-            if args.map is None:
-                raise ValueError("tree-like needs --identity, --radial or --map")
-            structure, fmap = bio.map_from_json(_load(args.map))
-            prefix = GenericPrefix(structure)
-        verdict = adv.is_tree_like(prefix, fmap, args.bound)
-        return bio.dumps_canonical({
-            "status": verdict.status,
-            "witness": list(map(list, verdict.witness[:1])) + list(verdict.witness[1:])
-            if verdict.witness else None,
-            "checked": verdict.checked})
-    raise ValueError(f"unknown adversarial action {args.action}")
+            grow, fmap = radial_example(args.radial)
+        prefix = _grown(adv.PersistentColouringContext.fresh(), grow, args.cap, "tree-like").prefix
+    else:
+        if args.map is None:
+            raise ValueError("tree-like needs --identity, --radial or --map")
+        structure, fmap = bio.map_from_json(_load(args.map))
+        prefix = GenericPrefix(structure)
+    verdict = adv.is_tree_like(prefix, fmap, args.bound)
+    return bio.dumps_canonical({
+        "status": verdict.status,
+        "witness": list(map(list, verdict.witness[:1])) + list(verdict.witness[1:])
+        if verdict.witness else None,
+        "checked": verdict.checked})
 
 
-def _grown(ctx, grow, cfg: Config, action: str):
+def _grown(ctx, grow, cap: int, action: str):
     """``ctx.grown(grow)``, or exit 2 first if the prefix would pass the cap."""
     size = ctx.size + len(grow.requests)
-    if size > cfg.cap:
-        raise InfeasibleError(size, cfg.cap, f"adversarial {action} prefix")
+    if size > cap:
+        raise InfeasibleError(size, cap, f"adversarial {action} prefix")
     return ctx.grown(grow)
 
 
@@ -283,17 +261,12 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
-                        help="node-count cap")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="deterministic seed")
-    common.add_argument("--output", choices=["json", "dot", "table"],
-                        default=argparse.SUPPRESS)
-    common.add_argument("--dot", action="store_true", default=argparse.SUPPRESS,
-                        help="shorthand for --output dot")
+    common.add_argument("--cap", type=int, default=None, help="node-count cap")
+    common.add_argument("--seed", type=int, default=0, help="deterministic seed")
+    common.add_argument("--output", choices=["json", "dot", "table"], default="json")
+    common.add_argument("--dot", action="store_true", help="shorthand for --output dot")
 
-    p = _Parser(prog="brt", parents=[common],
-                description="big-Ramsey-degree machinery, desk scale")
+    p = _Parser(prog="brt", description="big-Ramsey-degree machinery, desk scale")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("sig", parents=[common], help="signature of a language")
@@ -365,14 +338,15 @@ def main(argv=None) -> int:
         args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    fmt = "dot" if getattr(args, "dot", False) else getattr(args, "output", "json")
+    if args.dot:
+        args.output = "dot"
     try:
-        cap = getattr(args, "cap", None)
-        if cap is None:
-            cap = _env_cap()
-        cfg = Config(cap=cap, fmt=fmt, seed=getattr(args, "seed", 0))
+        if args.cap is None:
+            args.cap = _env_cap()
+        if args.cap <= 0:
+            raise ValueError("caps must be positive")
         with paused_gc():
-            out = args.func(args, cfg)
+            out = args.func(args)
     except InfeasibleError as exc:
         sys.stderr.write(bio.dumps_canonical(
             {"error": "infeasible", "what": exc.what,

@@ -25,6 +25,14 @@ def _typed(x, kind: type, what: str):
     raise ValueError(f"{what} must be {_KINDS[kind]}, got {json.dumps(x, default=repr)[:40]}")
 
 
+def _key(obj, key: str, what: str):
+    """``obj[key]`` if ``obj`` is a JSON object that has the key; a one-line
+    ValueError naming ``what`` otherwise."""
+    if key not in _typed(obj, dict, what):
+        raise ValueError(f'{what} has no "{key}"')
+    return obj[key]
+
+
 def _ints(x, what: str) -> tuple[int, ...]:
     return tuple(_typed(v, int, what) for v in _typed(x, list, what))
 
@@ -45,9 +53,9 @@ def language_to_json(lang: RelationalLanguage) -> dict:
 
 def language_from_json(obj: dict) -> RelationalLanguage:
     _schema_object(obj, "a language")
-    symbols = tuple((_typed(_typed(s, dict, "a symbol")["name"], str, "a symbol name"),
-                     _typed(s["arity"], int, "an arity"))
-                    for s in _typed(obj["symbols"], list, "symbols"))
+    symbols = tuple((_typed(_key(s, "name", "a symbol"), str, "a symbol name"),
+                     _typed(_key(s, "arity", "a symbol"), int, "an arity"))
+                    for s in _typed(_key(obj, "symbols", "a language"), list, "symbols"))
     return RelationalLanguage(symbols, frozenset(_ints(obj.get("countable_arities", []),
                                                        "countable arities")))
 
@@ -62,10 +70,10 @@ def structure_to_json(s: EnumeratedStructure) -> dict:
 
 
 def structure_from_json(obj: dict) -> EnumeratedStructure:
-    lang = language_from_json(_schema_object(obj, "a structure")["language"])
+    lang = language_from_json(_key(_schema_object(obj, "a structure"), "language", "a structure"))
     rels = {name: [_ints(t, "a relation tuple") for t in _typed(tuples, list, "relations")]
             for name, tuples in _typed(obj.get("relations", {}), dict, "relations").items()}
-    return make_structure(lang, _typed(obj["size"], int, "size"), rels,
+    return make_structure(lang, _typed(_key(obj, "size", "a structure"), int, "size"), rels,
                           hypergraph=bool(obj.get("hypergraph", False)))
 
 
@@ -139,16 +147,17 @@ def dumps_with_nodes(obj) -> str:
 
 
 def valuation_from_json(obj: dict, sig: Signature, shift: int) -> ValuationFunction:
-    vals = {_ints(_typed(e, dict, "an entry")["tuple"], "a tuple"): _typed(e["v"], int, "a value")
+    vals = {_ints(_key(e, "tuple", "an entry"), "a tuple"):
+            _typed(_key(e, "v", "an entry"), int, "a value")
             for e in _typed(_typed(obj, dict, "a node").get("values", []), list, "values")}
-    return make_valuation(sig, shift, _typed(obj["level"], int, "level"), vals)
+    return make_valuation(sig, shift, _typed(_key(obj, "level", "a node"), int, "level"), vals)
 
 
 def map_from_json(obj) -> tuple[EnumeratedStructure, dict[int, int]]:
     """A tree-likeness map file: the prefix structure and its vertex pairs,
     each a vertex of the prefix and its image, also a vertex of the prefix."""
-    pairs = _typed(_typed(obj, dict, "a map")["pairs"], list, "pairs")
-    structure = structure_from_json(obj["prefix"])
+    pairs = _typed(_key(obj, "pairs", "a map"), list, "pairs")
+    structure = structure_from_json(_key(obj, "prefix", "a map"))
     fmap = {}
     for p in pairs:
         pair = _ints(p, "a map pair")
@@ -182,16 +191,16 @@ def witness_to_json(witness: StrongSubtreeWitness, cap: int = 10_000) -> dict:
 
 
 def witness_from_json(obj: dict) -> StrongSubtreeWitness:
-    sig = signature_from_json(_typed(obj, dict, "a witness")["sigma"])
-    levels = _ints(obj["levels"], "levels")
+    sig = signature_from_json(_key(obj, "sigma", "a witness"))
+    levels = _ints(_key(obj, "levels", "a witness"), "levels")
     coords = []
-    for ci, cobj in enumerate(_typed(obj["coords"], list, "coords")):
-        root = valuation_from_json(_typed(cobj, dict, "a coordinate")["root"], sig, ci)
+    for ci, cobj in enumerate(_typed(_key(obj, "coords", "a witness"), list, "coords")):
+        root = valuation_from_json(_key(cobj, "root", "a coordinate"), sig, ci)
         sels = {}
         for e in _typed(cobj.get("selections", []), list, "selections"):
-            _typed(e, dict, "a selection")
-            parent = valuation_from_json(e["parent"], sig, ci)
-            direction = valuation_from_json(e["direction"], sig, ci)
-            sels[(parent, direction)] = valuation_from_json(e["child"], sig, ci)
+            parent = valuation_from_json(_key(e, "parent", "a selection"), sig, ci)
+            direction = valuation_from_json(_key(e, "direction", "a selection"), sig, ci)
+            sels[(parent, direction)] = valuation_from_json(_key(e, "child", "a selection"),
+                                                            sig, ci)
         coords.append(ExplicitCoordinate(root, sels))
     return StrongSubtreeWitness(sig, levels, tuple(coords))

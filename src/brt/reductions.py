@@ -19,6 +19,7 @@ from .structures import (
     RelationalLanguage,
     countable_symbol_name,
     enumerate_embeddings,
+    forbidden_sets,
     is_covered,
     make_structure,
 )
@@ -194,9 +195,7 @@ def decode_structure(a: EnumeratedStructure,
 def is_bad(m: EnumeratedStructure, vertices,
            family: tuple[EnumeratedStructure, ...]) -> bool:
     """Whether the structure induces a forbidden member on the vertex set."""
-    vs = tuple(sorted(vertices))
-    members = [f.relations for f in family if f.size == len(vs)]
-    return bool(members) and m.type_on(vs) in members
+    return bool(forbidden_sets(m, [tuple(sorted(vertices))], family))
 
 
 def copy_isomorphism_types(m: EnumeratedStructure,
@@ -228,18 +227,15 @@ def strip_bad(m: EnumeratedStructure,
         if f.size < 2:
             raise ValueError("forbidden members must span at least two vertices")
     sizes = sorted({f.size for f in family})
+    # a covered member is induced on a support or nowhere
+    bad = set(forbidden_sets(m, [s for k in sizes for s in m._index.by_size.get(k, ())],
+                             family))
     rels: dict[str, list] = {}
     for name, tuples in m.relations:
         if m.language.arity_of(name) == 1:
             rels[name] = list(tuples)
             continue
-        keep = []
-        for t in tuples:
-            support = sorted(set(t))
-            bad = any(is_bad(m, sub, family)
-                      for size in sizes if size <= len(support)
-                      for sub in itertools.combinations(support, size))
-            if not bad:
-                keep.append(t)
-        rels[name] = keep
+        rels[name] = [t for t in tuples
+                      if not any(sub in bad for size in sizes
+                                 for sub in itertools.combinations(sorted(set(t)), size))]
     return make_structure(m.language, m.size, rels, hypergraph=m.hypergraph)

@@ -448,6 +448,18 @@ def is_covered(f: EnumeratedStructure) -> bool:
     return tuple(range(f.size)) in f._index.patterns
 
 
+def forbidden_sets(structure: EnumeratedStructure, vertex_sets,
+                   family: tuple[EnumeratedStructure, ...]) -> list:
+    """The given vertex sets, in the given order, on which ``structure``
+    induces a member of ``family``: a set of the member's size whose type is
+    the member's relations.  A member covered by one relation tuple can only
+    be induced on a support, so the supports are the sets worth passing."""
+    members = {(f.size, f.relations) for f in family}
+    sizes = {size for size, _ in members}
+    return [vs for vs in vertex_sets
+            if len(vs) in sizes and (len(vs), structure.type_on(vs)) in members]
+
+
 # --- staged prefixes of universal structures ---------------------------------
 
 
@@ -532,14 +544,6 @@ class GenericPrefix:
             raise ValueError(f"no symbol #{idx} of arity {arity}")
         return pool[idx - 1], lang
 
-    def _is_free(self, candidate: EnumeratedStructure, new_vertex: int) -> bool:
-        # Forbidden members are covered by one relation tuple, so a copy of
-        # one spans a support of the candidate, and a new copy spans one at
-        # the new vertex.
-        members = {(f.size, f.relations) for f in self.forbidden}
-        return not any((len(s), candidate.type_on(s)) in members
-                       for s in candidate._index.patterns if new_vertex in s)
-
     def realize(self, request: ExtensionRequest) -> "GenericPrefix":
         """Append a fresh vertex realising the requested extension type."""
         if any(not 0 <= v < self.size for v in request.base):
@@ -553,7 +557,9 @@ class GenericPrefix:
             added.setdefault(name, set()).add(tuple(sorted(slot + (new,))))
         added = {name: sorted(tuples) for name, tuples in added.items()}
         candidate = _derived(self.structure, lang, added)
-        if self.forbidden and not self._is_free(candidate, new):
+        # the new tuples are the candidate's only supports at the new vertex
+        if self.forbidden and forbidden_sets(candidate, [t for ts in added.values() for t in ts],
+                                             self.forbidden):
             raise ValueError("requested extension is not forbidden-family-free")
         entry = (request.base, request.choices, self.size)
         return replace(self, structure=candidate, log=self.log + (entry,))
@@ -586,8 +592,6 @@ class GenericPrefix:
         for s in range(1, top + 1):
             bases.extend(itertools.combinations(range(top), s))
         for base in bases:
-            if base and max(base) + 1 > weight:
-                continue
             slots = _slots(lang, base)
             ranges = [range(min(_choice_bound(lang, len(s) + 1, weight), weight) + 1)
                       for s in slots]

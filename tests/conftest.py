@@ -495,13 +495,17 @@ def lookup_structures(draw, kinds=("hypergraph", "injective", "general")):
     return random_general_structure(lang, size, rng, density, injective=kind == "injective")
 
 
-def random_covered_structure(lang, size, rng, hypergraph):
+def random_covered_structure(lang, size, rng, hypergraph, injective=True):
     """A random structure covered by one relation tuple: the full vertex set
-    lands in a random symbol of arity ``size``."""
-    make = random_hypergraph if hypergraph else random_general_structure
+    lands in a random symbol of arity ``size``.  A general structure's other
+    tuples may repeat vertices unless ``injective``."""
+    if hypergraph:
+        other = random_hypergraph(lang, size, rng, 0.5)
+    else:
+        other = random_general_structure(lang, size, rng, 0.5, injective)
     full = tuple(range(size))
     rels = {name: [t for t in ts if not hypergraph or t != full]
-            for name, ts in make(lang, size, rng, 0.5).relations}
+            for name, ts in other.relations}
     rels.setdefault(rng.choice(lang.symbols_of_arity(size)), []).append(full)
     return make_structure(lang, size, rels, hypergraph=hypergraph)
 
@@ -754,7 +758,8 @@ def naive_with_symbol(lang, name, arity):
 
 def naive_realize(prefix, request):
     """A one-point extension rebuilt whole: every tuple revalidated, every
-    name re-sorted and the support index rebuilt by ``make_structure``."""
+    name re-sorted and the support index rebuilt by ``make_structure``, and
+    every vertex set at the new vertex scanned for a forbidden member."""
     if any(not 0 <= v < prefix.size for v in request.base):
         raise ValueError("extension base must be existing vertices")
     lang, new = prefix.language, prefix.size
@@ -773,7 +778,9 @@ def naive_realize(prefix, request):
             name = pool[idx - 1]
         rels.setdefault(name, set()).add(tuple(sorted(slot + (new,))))
     candidate = make_structure(lang, new + 1, rels, hypergraph=True)
-    if not prefix._is_free(candidate, new):
+    if any(brute_induced_relations(candidate, sub + (new,)) == f.relations
+           for f in prefix.forbidden
+           for sub in itertools.combinations(range(new), f.size - 1)):
         raise ValueError("requested extension is not forbidden-family-free")
     entry = (request.base, request.choices, new)
     return dataclasses.replace(prefix, structure=candidate, log=prefix.log + (entry,))

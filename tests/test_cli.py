@@ -266,6 +266,12 @@ def test_cap_flag_and_env(files, capsys, monkeypatch):
     monkeypatch.setenv("BRT_CAP", "5")
     code, _, _ = run(capsys, "degree", "--a", files["edge"], "--height", "3")
     assert code == 2
+    # --cap beats BRT_CAP either way
+    assert run(capsys, "degree", "--a", files["edge"], "--height", "3", "--cap", "1000") == (
+        0, '{"count":13,"height":3}\n', "")
+    monkeypatch.setenv("BRT_CAP", "1000")
+    assert run(capsys, "degree", "--a", files["edge"], "--height", "3", "--cap", "5") == (
+        2, "", '{"cap":5,"error":"infeasible","estimate":13,"what":"tree prefix of height 3"}\n')
     monkeypatch.delenv("BRT_CAP")
     code, _, _ = run(capsys, "degree", "--a", files["edge"], "--height", "3")
     assert code == 0
@@ -280,6 +286,49 @@ def test_bad_cap_env_exits_one_without_traceback(files, capsys, monkeypatch):
 
 def _one_line_error(code, out, err, message):
     assert (code, out, err) == (1, "", f"brt: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--cap", "5", "tree", "--sigma", "3", "--level", "1"),
+    ("--dot", "val", "--sigma", "3", "--height", "2", "--full"),
+    ("--seed", "3", "val", "--sigma", "3", "--height", "2"),
+    ("--output", "table", "tree", "--sigma", "3", "--level", "1"),
+])
+def test_an_option_before_the_subcommand_exits_one_with_usage(capsys, argv):
+    """``--cap``, ``--seed``, ``--output`` and ``--dot`` follow the subcommand;
+    the top-level parser has none of them."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: brt ")
+    errors = [line for line in err.splitlines() if line.startswith("brt: error:")]
+    assert len(errors) == 1 and err.endswith(errors[0] + "\n")
+
+
+@pytest.mark.parametrize("flags", [("--dot", "--output", "table"),
+                                   ("--output", "table", "--dot")])
+def test_dot_beats_output_in_either_order(capsys, flags):
+    argv = ("val", "--sigma", "3", "--height", "3", "--seed", "12")
+    want = run(capsys, *argv, "--output", "dot")
+    assert want[0] == 0 and want[1].startswith("digraph")
+    assert run(capsys, *argv, *flags) == want
+
+
+def test_zero_cap_exits_one(files, capsys, monkeypatch):
+    argv = ("degree", "--a", files["edge"], "--height", "3")
+    _one_line_error(*run(capsys, *argv, "--cap", "0"), "caps must be positive")
+    monkeypatch.setenv("BRT_CAP", "0")
+    _one_line_error(*run(capsys, *argv), "caps must be positive")
+
+
+@pytest.mark.parametrize("sigma,out", [
+    ((), '{"count":13,"height":3}\n'),
+    (("--sigma", "3"), '{"count":13,"height":3}\n'),
+    (("--sigma", "5"), '{"count":31,"height":3}\n'),
+])
+def test_degree_reads_sigma_else_the_language(files, capsys, sigma, out):
+    """Without ``--sigma`` the signature is the one the structure's language
+    is built from, here ``3``."""
+    assert run(capsys, "degree", "--a", files["edge"], "--height", "3", *sigma) == (0, out, "")
 
 
 def test_null_size_exits_one_without_traceback(files, tmp_path, capsys):
@@ -318,6 +367,48 @@ def test_list_map_exits_one_without_traceback(tmp_path, capsys):
     p.write_text("[[1, 2]]")
     _one_line_error(*run(capsys, "adversarial", "tree-like", "--map", str(p)),
                     "a map must be an object, got [[1, 2]]")
+
+
+def _witness_blob():
+    return bio.witness_to_json(full_tree_witness(Signature((1, 2)), 3, 3))
+
+
+def _structure_blob():
+    return bio.structure_to_json(make_structure(graph_language(), 3, {"e": [(0, 1), (1, 2)]},
+                                                hypergraph=True))
+
+
+@pytest.mark.parametrize("argv,blob,edit,message", [
+    (("sig", "--lang", "{}"), lambda: bio.language_to_json(graph_language()),
+     lambda o: o.pop("symbols"), 'a language has no "symbols"'),
+    (("sig", "--lang", "{}"), lambda: bio.language_to_json(graph_language()),
+     lambda o: o["symbols"][0].pop("arity"), 'a symbol has no "arity"'),
+    (("embed", "--a", "{}", "--b", "{}"), _structure_blob,
+     lambda o: o.pop("size"), 'a structure has no "size"'),
+    (("adversarial", "tree-like", "--map", "{}"),
+     lambda: {"prefix": _structure_blob(), "pairs": [[0, 1]]},
+     lambda o: o.pop("prefix"), 'a map has no "prefix"'),
+    (("val", "--witness", "{}"), _witness_blob,
+     lambda o: o.pop("coords"), 'a witness has no "coords"'),
+    (("val", "--witness", "{}"), _witness_blob,
+     lambda o: o["coords"][0].pop("root"), 'a coordinate has no "root"'),
+    (("val", "--witness", "{}"), _witness_blob,
+     lambda o: o["coords"][0]["selections"][0].pop("child"), 'a selection has no "child"'),
+    (("val", "--witness", "{}"), _witness_blob,
+     lambda o: o["coords"][0]["root"].pop("level"), 'a node has no "level"'),
+    (("val", "--witness", "{}"), _witness_blob,
+     lambda o: o["coords"][0]["selections"][2]["child"]["values"][0].pop("v"),
+     'an entry has no "v"'),
+], ids=["language", "symbol", "structure", "map", "witness", "coordinate", "selection", "node",
+        "entry"])
+def test_a_missing_key_exits_one_naming_it(tmp_path, capsys, argv, blob, edit, message):
+    """A required key an input object lacks is named with the object's kind,
+    not printed bare as the ``KeyError`` did."""
+    obj = blob()
+    edit(obj)
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(obj))
+    _one_line_error(*run(capsys, *(str(p) if a == "{}" else a for a in argv)), message)
 
 
 @pytest.mark.parametrize("pairs,message", [

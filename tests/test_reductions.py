@@ -22,6 +22,7 @@ from brt.reductions import (
     unary_expand,
 )
 from brt.structures import (
+    EnumeratedStructure,
     enumerate_embeddings,
     graph_language,
     make_language,
@@ -331,15 +332,30 @@ def test_strip_output_is_free_exhaustively(seed):
 STRIP_LANGUAGE = make_language(("u", 1), ("E", 2), ("F", 2), ("T", 3))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(1, 3))
-def test_strip_matches_scanned_strip(seed, hyper, members):
-    """``is_bad`` and ``strip_bad`` against stripping by scanned induced types."""
+@settings(max_examples=225, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("hypergraph", "injective", "repeated")),
+       st.integers(1, 3))
+def test_strip_matches_scanned_strip(seed, kind, members):
+    """``is_bad`` and ``strip_bad`` against stripping by scanned induced types,
+    on hypergraphs and on general structures whose tuples may repeat vertices
+    (a support smaller than the tuple's arity).  Half the families also hold
+    the type of a support of ``m``, so that some tuples are certainly bad."""
     rng = random.Random(seed)
-    make = random_hypergraph if hyper else random_general_structure
-    family = tuple(random_covered_structure(STRIP_LANGUAGE, rng.choice((2, 3)), rng, hyper)
+    hyper, injective = kind == "hypergraph", kind != "repeated"
+    family = tuple(random_covered_structure(STRIP_LANGUAGE, rng.choice((2, 3)), rng, hyper,
+                                            injective)
                    for _ in range(members))
-    m = make(STRIP_LANGUAGE, rng.randrange(2, 9), rng, rng.choice((0.3, 0.6)))
+    n, density = rng.randrange(2, 9), rng.choice((0.3, 0.6))
+    if hyper:
+        m = random_hypergraph(STRIP_LANGUAGE, n, rng, density)
+    else:
+        m = random_general_structure(STRIP_LANGUAGE, n, rng, density, injective)
+    supports = sorted({tuple(sorted(set(t))) for _, t in m.relation_items()
+                       if 2 <= len(set(t)) <= 3})
+    if supports and rng.random() < 0.5:
+        s = rng.choice(supports)
+        family += (EnumeratedStructure(STRIP_LANGUAGE, len(s), brute_induced_relations(m, s),
+                                       hyper),)
     assert strip_bad(m, family) == brute_strip_bad(m, family)
     for size in (2, 3):
         for sub in itertools.combinations(range(m.size), size):

@@ -14,9 +14,9 @@ from brt.structures import (
     EnumeratedStructure,
     _derived,
     ExtensionRequest,
-    GenericPrefix,
     empty_prefix,
     enumerate_embeddings,
+    forbidden_sets,
     gaifman_irreducible,
     generic_extend,
     graph_language,
@@ -430,6 +430,20 @@ def test_forbidden_family_blocks_realization():
     assert p.structure.rel("e") == frozenset()
 
 
+def test_forbidden_sets_keep_the_given_order():
+    """Each given set whose induced type is a member, in the order given;
+    sets of no member's size and sets the member does not match drop out."""
+    lang = make_language(("e", 2), ("t", 3))
+    m = make_structure(lang, 4, {"e": [(0, 1), (2, 3), (1, 3)], "t": [(1, 2, 3)]},
+                       hypergraph=True)
+    edge = make_structure(lang, 2, {"e": [(0, 1)]}, hypergraph=True)
+    sets = [(2, 3), (0, 2), (1, 2, 3), (0, 1), (3,), (1, 3)]
+    assert forbidden_sets(m, sets, (edge,)) == [(2, 3), (0, 1), (1, 3)]
+    assert forbidden_sets(m, sets, ()) == []
+    full = make_structure(lang, 3, {"e": [(0, 2), (1, 2)], "t": [(0, 1, 2)]}, hypergraph=True)
+    assert forbidden_sets(m, sets, (full, edge)) == [(2, 3), (1, 2, 3), (0, 1), (1, 3)]
+
+
 def test_forbidden_family_must_be_covered():
     path = make_structure(graph_language(), 3, {"e": [(0, 1), (1, 2)]}, hypergraph=True)
     with pytest.raises(ValueError):
@@ -439,8 +453,9 @@ def test_forbidden_family_must_be_covered():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_freeness_matches_scanned_types(seed):
-    """The freeness test of a one-point extension against scanning every
-    vertex set at the new vertex."""
+    """The forbidden sets among the supports at a new vertex against scanning
+    every vertex set at it: a one-point extension is free exactly when
+    ``forbidden_sets`` finds none."""
     rng = random.Random(seed)
     lang = make_language(("u", 1), ("e", 2), ("t", 3))
     family = tuple(random_covered_structure(lang, rng.choice((1, 2, 3)), rng, True)
@@ -450,8 +465,8 @@ def test_freeness_matches_scanned_types(seed):
     want = not any(new in sub and brute_induced_relations(candidate, sub) == f.relations
                    for f in family
                    for sub in itertools.combinations(range(candidate.size), f.size))
-    prefix = GenericPrefix(make_structure(lang, 0, {}, hypergraph=True), family)
-    assert prefix._is_free(candidate, new) == want
+    supports = sorted({t for _, t in candidate.relation_items() if new in t})
+    assert (not forbidden_sets(candidate, supports, family)) == want
 
 
 def test_seeded_extension_mode_is_reproducible():
