@@ -38,14 +38,18 @@ from .trees import (
 from .valuation import count_level_nodes, signature_from_language
 
 
-def _env_cap() -> int:
-    raw = os.environ.get("BRT_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"BRT_CAP must be an integer, got {raw!r}") from None
+def _cap(flag: int | None) -> int:
+    """The node cap: ``--cap``, else ``BRT_CAP``, else the default; positive."""
+    cap = flag
+    if cap is None:
+        raw = os.environ.get("BRT_CAP")
+        try:
+            cap = DEFAULT_CAP if raw is None else int(raw)
+        except ValueError:
+            raise ValueError(f"BRT_CAP must be an integer, got {raw!r}") from None
+    if cap <= 0:
+        raise ValueError("caps must be positive")
+    return cap
 
 
 def _load(path: str) -> dict:
@@ -93,7 +97,7 @@ def cmd_val(args) -> str:
             witness = seeded_witness(sig, dim, args.height, args.seed, levels)
     tree = build_valuation_tree(witness, args.height if args.witness is None else None,
                                 cap=args.cap)
-    if args.output == "dot":
+    if args.dot or args.output == "dot":
         return tree_to_dot(tree)
     return bio.dumps_with_nodes({"levels": list(tree.levels),
                                  "height": tree.height,
@@ -131,7 +135,7 @@ def cmd_envelope(args) -> str:
                   for st in env.stages],
         "tree_nodes": env.tree_nodes,
     }
-    if args.output == "dot" and env.tree is not None:
+    if (args.dot or args.output == "dot") and env.tree is not None:
         return tree_to_dot(env.tree, "envelope")
     return bio.dumps_with_nodes(report)
 
@@ -145,27 +149,32 @@ def cmd_degree(args) -> str:
     return bio.dumps_canonical({"count": count, "height": args.height})
 
 
-def cmd_reduce(args) -> str:
-    if args.action == "encode":
-        out = encode_structure(_structure(args.infile))
-        return bio.dumps_canonical(bio.structure_to_json(out))
-    if args.action == "decode":
-        if args.language is None:
-            raise ValueError("decode needs --language")
-        lang = bio.language_from_json(_load(args.language))
-        out = decode_structure(_structure(args.infile), lang)
-        return bio.dumps_canonical(bio.structure_to_json(out))
-    if args.action == "unaries":
-        if args.countable == (args.count is not None):
-            raise ValueError("unaries needs exactly one of --count and --countable")
-        if args.count is not None and args.count < 0:
-            raise ValueError(f"--count must be a natural number, got {args.count}")
-        base = _structure(args.infile)
-        u = None if args.countable else args.count
-        product = unary_expand(base, u, size_cap=args.cap)
-        return bio.dumps_canonical({"pairs": [list(p) for p in product.pairs],
-                                    "structure": bio.structure_to_json(product.structure)})
-    # argparse's choices leave "strip"
+def cmd_encode(args) -> str:
+    out = encode_structure(_structure(args.infile))
+    return bio.dumps_canonical(bio.structure_to_json(out))
+
+
+def cmd_decode(args) -> str:
+    if args.language is None:
+        raise ValueError("decode needs --language")
+    lang = bio.language_from_json(_load(args.language))
+    out = decode_structure(_structure(args.infile), lang)
+    return bio.dumps_canonical(bio.structure_to_json(out))
+
+
+def cmd_unaries(args) -> str:
+    if args.countable == (args.count is not None):
+        raise ValueError("unaries needs exactly one of --count and --countable")
+    if args.count is not None and args.count < 0:
+        raise ValueError(f"--count must be a natural number, got {args.count}")
+    base = _structure(args.infile)
+    u = None if args.countable else args.count
+    product = unary_expand(base, u, size_cap=args.cap)
+    return bio.dumps_canonical({"pairs": [list(p) for p in product.pairs],
+                                "structure": bio.structure_to_json(product.structure)})
+
+
+def cmd_strip(args) -> str:
     if args.forbidden is None:
         raise ValueError("strip needs --forbidden")
     m = _structure(args.infile)
@@ -184,36 +193,47 @@ def _parse_node(text: str) -> tuple[int, ...]:
     return node
 
 
-def cmd_adversarial(args) -> str:
+def _check_naturals(args) -> None:
+    """Reject a negative count among the options the command declares."""
     for option in ("colour", "height", "prefix_size", "colours", "bound", "identity", "radial"):
-        value = getattr(args, option)
+        value = vars(args).get(option)
         if value is not None and value < 0:
             raise ValueError(f"--{option.replace('_', '-')} must be a natural number, got {value}")
-    if args.action == "hl":
-        node = _parse_node(args.node)
-        return bio.dumps_canonical({"colour": adv.seq_colour(node)})
-    if args.action == "hl-witness":
-        subtree = adv.random_omega_subtree(args.seed, height=args.height)
-        node = adv.seq_colour_witness(subtree, args.colour)
-        return bio.dumps_canonical({"root": list(subtree.root),
-                                    "levels": list(subtree.levels),
-                                    "node": list(node),
-                                    "colour": adv.seq_colour(node)})
-    if args.action == "inf":
-        ctx = adv.PersistentColouringContext.fresh()
-        while ctx.size < args.prefix_size:
-            ctx = _grown(ctx, adv.GrowPrefix(adv._plain_vertex_requests(1)), args.cap, "inf")
-        copies = {}
-        for p in range(args.colours + 1):
-            while True:
-                res = adv.triple_witness(ctx, p)
-                if isinstance(res, adv.GrowPrefix):
-                    ctx = _grown(ctx, res, args.cap, "inf")
-                    continue
-                copies[str(p)] = list(res)
-                break
-        return bio.dumps_canonical({"prefix_size": ctx.size, "copies": copies})
-    # argparse's choices leave "tree-like"
+
+
+def cmd_hl(args) -> str:
+    return bio.dumps_canonical({"colour": adv.seq_colour(_parse_node(args.node))})
+
+
+def cmd_hl_witness(args) -> str:
+    _check_naturals(args)
+    subtree = adv.random_omega_subtree(args.seed, height=args.height)
+    node = adv.seq_colour_witness(subtree, args.colour)
+    return bio.dumps_canonical({"root": list(subtree.root),
+                                "levels": list(subtree.levels),
+                                "node": list(node),
+                                "colour": adv.seq_colour(node)})
+
+
+def cmd_inf(args) -> str:
+    _check_naturals(args)
+    ctx = adv.PersistentColouringContext.fresh()
+    while ctx.size < args.prefix_size:
+        ctx = _grown(ctx, adv.GrowPrefix(adv._plain_vertex_requests(1)), args.cap, "inf")
+    copies = {}
+    for p in range(args.colours + 1):
+        while True:
+            res = adv.triple_witness(ctx, p)
+            if isinstance(res, adv.GrowPrefix):
+                ctx = _grown(ctx, res, args.cap, "inf")
+                continue
+            copies[str(p)] = list(res)
+            break
+    return bio.dumps_canonical({"prefix_size": ctx.size, "copies": copies})
+
+
+def cmd_tree_like(args) -> str:
+    _check_naturals(args)
     if args.identity is not None or args.radial is not None:
         if args.identity is not None:
             grow = adv.GrowPrefix(adv._plain_vertex_requests(args.identity))
@@ -260,73 +280,91 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=None, help="node-count cap")
-    common.add_argument("--seed", type=int, default=0, help="deterministic seed")
-    common.add_argument("--output", choices=["json", "dot", "table"], default="json")
-    common.add_argument("--dot", action="store_true", help="shorthand for --output dot")
-
+    """The ``brt`` parser: each leaf command declares the options it reads
+    and sets its command function as ``func``."""
     p = _Parser(prog="brt", description="big-Ramsey-degree machinery, desk scale")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("sig", parents=[common], help="signature of a language")
-    s.add_argument("--lang", required=True)
-    s.set_defaults(func=cmd_sig)
+    # Exact option names only: a prefix would let an option the command does
+    # not read stand for one it does (``inf --colour`` for ``--colours``).
+    def leaf(parent, name, func, help, cap=False, seed=False, output=()):
+        s = parent.add_parser(name, help=help, allow_abbrev=False)
+        if cap:
+            s.add_argument("--cap", type=int, default=None, help="node-count cap")
+        if seed:
+            s.add_argument("--seed", type=int, default=0, help="deterministic seed")
+        if output:
+            s.add_argument("--output", choices=["json", *output], default="json")
+        if "dot" in output:
+            s.add_argument("--dot", action="store_true", help="shorthand for --output dot")
+        s.set_defaults(func=func)
+        return s
 
-    s = sub.add_parser("tree", parents=[common], help="nodes of one tree level")
+    s = leaf(sub, "sig", cmd_sig, "signature of a language")
+    s.add_argument("--lang", required=True)
+
+    s = leaf(sub, "tree", cmd_tree, "nodes of one tree level", cap=True, output=("table",))
     s.add_argument("--sigma", required=True)
     s.add_argument("--shift", type=int, default=0)
     s.add_argument("--level", type=int, required=True)
     s.add_argument("--count-only", action="store_true")
-    s.set_defaults(func=cmd_tree)
 
-    s = sub.add_parser("val", parents=[common], help="valuation tree of a witness")
+    s = leaf(sub, "val", cmd_val, "valuation tree of a witness", cap=True, seed=True,
+             output=("dot",))
     s.add_argument("--sigma")
     s.add_argument("--height", type=int)
     s.add_argument("--dim", type=int, default=None)
     s.add_argument("--levels", default=None)
     s.add_argument("--full", action="store_true")
     s.add_argument("--witness", default=None)
-    s.set_defaults(func=cmd_val)
 
-    s = sub.add_parser("embed", parents=[common], help="enumerate embeddings A -> B")
+    s = leaf(sub, "embed", cmd_embed, "enumerate embeddings A -> B", output=("table",))
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
-    s.set_defaults(func=cmd_embed)
 
-    s = sub.add_parser("envelope", parents=[common], help="envelope of an image subset")
+    s = leaf(sub, "envelope", cmd_envelope, "envelope of an image subset", output=("dot",))
     s.add_argument("--prefix", required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--subset", required=True)
-    s.set_defaults(func=cmd_envelope)
 
-    s = sub.add_parser("degree", parents=[common], help="copy-count bound at a height")
+    s = leaf(sub, "degree", cmd_degree, "copy-count bound at a height", cap=True,
+             output=("table",))
     s.add_argument("--a", required=True)
     s.add_argument("--height", type=int, required=True)
     s.add_argument("--sigma", default=None)
-    s.set_defaults(func=cmd_degree)
 
-    s = sub.add_parser("reduce", parents=[common], help="class reductions")
-    s.add_argument("action", choices=["encode", "decode", "unaries", "strip"])
+    reduce = sub.add_parser("reduce", help="class reductions").add_subparsers(
+        dest="action", required=True)
+    s = leaf(reduce, "encode", cmd_encode, "hypergraph encoding of a structure")
+    s.add_argument("--in", dest="infile", required=True)
+    s = leaf(reduce, "decode", cmd_decode, "structure of an encoded hypergraph")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--language", default=None)
+    s = leaf(reduce, "unaries", cmd_unaries, "product with unary colours", cap=True)
+    s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--count", type=int, default=None)
     s.add_argument("--countable", action="store_true")
+    s = leaf(reduce, "strip", cmd_strip, "drop the tuples over forbidden members")
+    s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--forbidden", default=None)
-    s.set_defaults(func=cmd_reduce)
 
-    s = sub.add_parser("adversarial", parents=[common], help="adversarial colourings")
-    s.add_argument("action", choices=["hl", "hl-witness", "inf", "tree-like"])
+    adversarial = sub.add_parser("adversarial", help="adversarial colourings").add_subparsers(
+        dest="action", required=True)
+    s = leaf(adversarial, "hl", cmd_hl, "colour of a node")
     s.add_argument("--node", default="")
+    s = leaf(adversarial, "hl-witness", cmd_hl_witness,
+             "a node of a given colour in a random subtree", seed=True)
     s.add_argument("--colour", type=int, default=0)
     s.add_argument("--height", type=int, default=4)
+    s = leaf(adversarial, "inf", cmd_inf, "persistent triples of each colour", cap=True)
     s.add_argument("--prefix-size", type=int, default=2)
     s.add_argument("--colours", type=int, default=5)
+    s = leaf(adversarial, "tree-like", cmd_tree_like, "tree-likeness of embedding data",
+             cap=True)
     s.add_argument("--bound", type=int, default=3)
     s.add_argument("--identity", type=int, default=None)
     s.add_argument("--radial", type=int, default=None)
     s.add_argument("--map", default=None)
-    s.set_defaults(func=cmd_adversarial)
     return p
 
 
@@ -338,13 +376,9 @@ def main(argv=None) -> int:
         args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.dot:
-        args.output = "dot"
     try:
-        if args.cap is None:
-            args.cap = _env_cap()
-        if args.cap <= 0:
-            raise ValueError("caps must be positive")
+        if "cap" in vars(args):
+            args.cap = _cap(args.cap)
         with paused_gc():
             out = args.func(args)
     except InfeasibleError as exc:

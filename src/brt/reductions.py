@@ -175,15 +175,18 @@ def decode_structure(a: EnumeratedStructure,
         raise ValueError("decoding expects a hypergraph")
     rels: dict[str, list] = {}
     for name, tuples in a.relations:
-        if a.language.arity_of(name) == 1:
+        arity = a.language.arity_of(name)
+        if arity == 1:
             rels[name] = list(tuples)
             continue
         if not name.startswith("enc("):
             raise ValueError(f"symbol {name} is not an encoded symbol")
-        parts = name[4:-1].split("|")
-        for part in parts:
-            base_name, perm_s = part.rsplit(":", 1)
-            perm = tuple(int(c) for c in perm_s)
+        for part in name[4:-1].split("|"):
+            base_name, _, perm_s = part.rpartition(":")
+            perm = tuple(map(int, perm_s)) if perm_s.isascii() and perm_s.isdigit() else ()
+            if not base_name or sorted(perm) != list(range(arity)):
+                raise ValueError(f"encoded symbol {name} has part {part}, not a name and "
+                                 f"a permutation of 0..{arity - 1}")
             for xs in tuples:
                 rels.setdefault(base_name, []).append(tuple(xs[p] for p in perm))
     return make_structure(target, a.size, rels, hypergraph=False)

@@ -219,12 +219,16 @@ class EnumeratedStructure:
 
 def _checked(language: RelationalLanguage, size: int, relations, hypergraph: bool):
     """Yield each tuple of the ``(name, tuples)`` pairs once it passes the
-    checks every structure's tuples share: the name's arity, vertices in
-    range and, in a hypergraph, injective, sorted and one relation per
-    vertex set.  The first tuple that fails raises its first failed check."""
+    checks every structure's tuples share: a symbol of the language, its
+    arity, vertices in range and, in a hypergraph, injective, sorted and one
+    relation per vertex set.  The first tuple that fails raises its first
+    failed check."""
     seen: set[tuple[int, ...]] = set()
     for name, tuples in relations:
-        arity = language.arity_of(name)
+        try:
+            arity = language.arity_of(name)
+        except KeyError:
+            raise ValueError(f"the language has no symbol {name}") from None
         for t in tuples:
             if len(t) != arity:
                 raise ValueError(f"tuple {t} has wrong arity for {name}")

@@ -193,7 +193,12 @@ class ExplicitCoordinate:
         self.selections = selections
 
     def select(self, parent, direction, next_level):
-        child = self.selections[(parent, direction)]
+        try:
+            child = self.selections[(parent, direction)]
+        except KeyError:
+            raise ValueError(f"coordinate {parent.shift} has no selection for the parent at "
+                             f"level {parent.level} and the direction at level "
+                             f"{direction.level}") from None
         if child.level != next_level:
             raise ValueError("stored selection at wrong level")
         return child

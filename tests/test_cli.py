@@ -1,9 +1,11 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
+import argparse
 import gc
 import itertools
 import json
 import random
+import shlex
 import time
 from pathlib import Path
 
@@ -282,6 +284,8 @@ def test_bad_cap_env_exits_one_without_traceback(files, capsys, monkeypatch):
     code, out, err = run(capsys, "degree", "--a", files["edge"], "--height", "3")
     assert (code, out) == (1, "")
     assert err == "brt: error: BRT_CAP must be an integer, got 'abc'\n"
+    # a command without --cap reads no cap
+    assert run(capsys, "sig", "--lang", files["graph_lang"]) == (0, '{"prefix":[3],"tail":1}\n', "")
 
 
 def _one_line_error(code, out, err, message):
@@ -304,8 +308,128 @@ def test_an_option_before_the_subcommand_exits_one_with_usage(capsys, argv):
     assert len(errors) == 1 and err.endswith(errors[0] + "\n")
 
 
-@pytest.mark.parametrize("flags", [("--dot", "--output", "table"),
-                                   ("--output", "table", "--dot")])
+# Each leaf command and the options it declares; the option each reads, and
+# no other.  ``--output`` takes json and the listed format.
+LEAF_OPTIONS = {
+    ("sig",): ["--lang"],
+    ("tree",): ["--cap", "--output", "--sigma", "--shift", "--level", "--count-only"],
+    ("val",): ["--cap", "--seed", "--output", "--dot", "--sigma", "--height", "--dim",
+               "--levels", "--full", "--witness"],
+    ("embed",): ["--output", "--a", "--b"],
+    ("envelope",): ["--output", "--dot", "--prefix", "--k", "--subset"],
+    ("degree",): ["--cap", "--output", "--a", "--height", "--sigma"],
+    ("reduce", "encode"): ["--in"],
+    ("reduce", "decode"): ["--in", "--language"],
+    ("reduce", "unaries"): ["--cap", "--in", "--count", "--countable"],
+    ("reduce", "strip"): ["--in", "--forbidden"],
+    ("adversarial", "hl"): ["--node"],
+    ("adversarial", "hl-witness"): ["--seed", "--colour", "--height"],
+    ("adversarial", "inf"): ["--cap", "--prefix-size", "--colours"],
+    ("adversarial", "tree-like"): ["--cap", "--bound", "--identity", "--radial", "--map"],
+}
+OUTPUT_FORMATS = {("tree",): "table", ("val",): "dot", ("embed",): "table",
+                  ("envelope",): "dot", ("degree",): "table"}
+
+
+def _leaf_parsers(parser=cli.PARSER, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def test_each_leaf_declares_the_options_it_reads():
+    got, formats = {}, {}
+    for path, parser in _leaf_parsers():
+        options = [a for a in parser._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        got[path] = [a.option_strings[0] for a in options]
+        formats.update((path, a.choices) for a in options if a.dest == "output")
+    assert got == LEAF_OPTIONS
+    assert sum(map(len, got.values())) == 51
+    assert formats == {path: ["json", fmt] for path, fmt in OUTPUT_FORMATS.items()}
+
+
+@pytest.mark.parametrize("leaf", LEAF_OPTIONS, ids=" ".join)
+def test_help_on_each_leaf_exits_zero(capsys, leaf):
+    code, out, err = run(capsys, *leaf, "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: brt {' '.join(leaf)} [-h]")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("sig", "--lang", "GRAPH_LANG", "--cap", "5"), "brt: error: unrecognized arguments: --cap 5"),
+    (("sig", "--lang", "GRAPH_LANG", "--output", "json"),
+     "brt: error: unrecognized arguments: --output json"),
+    (("tree", "--sigma", "2,3", "--level", "2", "--dot"),
+     "brt: error: unrecognized arguments: --dot"),
+    (("tree", "--sigma", "3", "--level", "1", "--seed", "3"),
+     "brt: error: unrecognized arguments: --seed 3"),
+    (("val", "--sigma", "3", "--height", "2", "--output", "table"),
+     "brt val: error: argument --output: invalid choice: 'table'"),
+    (("embed", "--a", "EDGE", "--b", "EDGE", "--cap", "5"),
+     "brt: error: unrecognized arguments: --cap 5"),
+    (("embed", "--a", "EDGE", "--b", "EDGE", "--seed", "1"),
+     "brt: error: unrecognized arguments: --seed 1"),
+    (("embed", "--a", "EDGE", "--b", "EDGE", "--output", "dot"),
+     "brt embed: error: argument --output: invalid choice: 'dot'"),
+    (("envelope", "--k", "2", "--subset", "0,1", "--prefix", "PATH3", "--output", "table"),
+     "brt envelope: error: argument --output: invalid choice: 'table'"),
+    (("envelope", "--k", "2", "--subset", "0,1", "--prefix", "PATH3", "--cap", "5"),
+     "brt: error: unrecognized arguments: --cap 5"),
+    (("degree", "--a", "EDGE", "--height", "3", "--dot"),
+     "brt: error: unrecognized arguments: --dot"),
+    (("reduce", "encode", "--in", "PATH3", "--count", "2"),
+     "brt: error: unrecognized arguments: --count 2"),
+    (("reduce", "decode", "--in", "PATH3", "--language", "GRAPH_LANG", "--cap", "5"),
+     "brt: error: unrecognized arguments: --cap 5"),
+    (("reduce", "unaries", "--in", "PATH3", "--count", "2", "--forbidden", "PATH3"),
+     "brt: error: unrecognized arguments: --forbidden"),
+    (("reduce", "strip", "--in", "PATH3", "--forbidden", "PATH3", "--output", "json"),
+     "brt: error: unrecognized arguments: --output json"),
+    (("adversarial", "hl", "--node", "3", "--bound", "9"),
+     "brt: error: unrecognized arguments: --bound 9"),
+    (("adversarial", "hl-witness", "--colour", "2", "--cap", "5"),
+     "brt: error: unrecognized arguments: --cap 5"),
+    (("adversarial", "inf", "--colours", "2", "--seed", "1"),
+     "brt: error: unrecognized arguments: --seed 1"),
+    (("adversarial", "inf", "--colour", "2"), "brt: error: unrecognized arguments: --colour 2"),
+    (("adversarial", "tree-like", "--identity", "4", "--colour", "1"),
+     "brt: error: unrecognized arguments: --colour 1"),
+])
+def test_an_option_the_command_does_not_read_exits_one_with_usage(files, capsys, argv, error):
+    """Each used to exit 0, the option ignored; ``--output`` takes only the
+    formats its command prints, and no option name is read as a prefix of
+    another (``inf --colour`` is not ``--colours``)."""
+    names = {"GRAPH_LANG": files["graph_lang"], "EDGE": files["edge"], "PATH3": files["path3"]}
+    code, out, err = run(capsys, *(names.get(a, a) for a in argv))
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert err.startswith("usage: brt ") and lines[-1].startswith(error)
+    assert [line for line in lines if ": error: " in line] == lines[-1:]
+
+
+def test_readme_cli_examples_parse():
+    """Every ``brt`` line of README's CLI example block parses, and together
+    they show each leaf command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("brt ")]
+    for argv in examples:
+        try:
+            cli.PARSER.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: brt {' '.join(argv)}")
+    shown = {tuple(argv[:2]) if argv[0] in ("reduce", "adversarial") else tuple(argv[:1])
+             for argv in examples}
+    assert shown == set(LEAF_OPTIONS)
+
+
+@pytest.mark.parametrize("flags", [("--dot", "--output", "json"),
+                                   ("--output", "json", "--dot")])
 def test_dot_beats_output_in_either_order(capsys, flags):
     argv = ("val", "--sigma", "3", "--height", "3", "--seed", "12")
     want = run(capsys, *argv, "--output", "dot")
@@ -409,6 +533,57 @@ def test_a_missing_key_exits_one_naming_it(tmp_path, capsys, argv, blob, edit, m
     p = tmp_path / "input.json"
     p.write_text(json.dumps(obj))
     _one_line_error(*run(capsys, *(str(p) if a == "{}" else a for a in argv)), message)
+
+
+@pytest.mark.parametrize("symbol", ["enc(e:05)", "enc(e)", "enc(e:0)", "enc(e:ab)"])
+def test_decode_of_a_malformed_encoded_symbol_exits_one(files, tmp_path, capsys, symbol):
+    """A part that is not ``name:perm``, with ``perm`` a permutation of the
+    arity, used to raise a traceback or print the unpacking error."""
+    lang = make_language((symbol, 2))
+    p = tmp_path / "encoded.json"
+    p.write_text(bio.dumps_canonical(bio.structure_to_json(
+        make_structure(lang, 2, {symbol: [(0, 1)]}, hypergraph=True))))
+    part = symbol[4:-1]
+    _one_line_error(*run(capsys, "reduce", "decode", "--in", str(p),
+                         "--language", files["graph_lang"]),
+                    f"encoded symbol {symbol} has part {part}, not a name and "
+                    "a permutation of 0..1")
+
+
+def _with_relation(obj, name):
+    obj["relations"] = {name: [[0, 1]]}
+    return obj
+
+
+@pytest.mark.parametrize("command,symbol", [("embed", "f"), ("strip", "g"), ("decode", "g")])
+def test_a_symbol_missing_from_its_language_exits_one_naming_it(files, tmp_path, capsys,
+                                                                command, symbol):
+    """Each used to print the bare key, ``brt: error: 'f'``."""
+    p = tmp_path / "input.json"
+    if command == "embed":
+        p.write_text(json.dumps(_with_relation(_structure_blob(), symbol)))
+        argv = ("embed", "--a", str(p), "--b", str(p))
+    elif command == "strip":
+        p.write_text(json.dumps([_with_relation(_structure_blob(), symbol)]))
+        argv = ("reduce", "strip", "--in", files["path3"], "--forbidden", str(p))
+    else:
+        encoded = make_structure(make_language(("enc(g:01)", 2)), 2, {"enc(g:01)": [(0, 1)]},
+                                 hypergraph=True)
+        p.write_text(bio.dumps_canonical(bio.structure_to_json(encoded)))
+        argv = ("reduce", "decode", "--in", str(p), "--language", files["graph_lang"])
+    _one_line_error(*run(capsys, *argv), f"the language has no symbol {symbol}")
+
+
+@pytest.mark.parametrize("coord,index,levels", [(0, 0, (0, 1)), (1, 1, (0, 1))])
+def test_a_witness_missing_a_selection_exits_one(tmp_path, capsys, coord, index, levels):
+    """A selection the tree needs used to exit with the ``repr`` of its key."""
+    blob = _witness_blob()
+    blob["coords"][coord]["selections"].pop(index)
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(blob))
+    _one_line_error(*run(capsys, "val", "--witness", str(p)),
+                    f"coordinate {coord} has no selection for the parent at level "
+                    f"{levels[0]} and the direction at level {levels[1]}")
 
 
 @pytest.mark.parametrize("pairs,message", [
