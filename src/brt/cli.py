@@ -23,7 +23,7 @@ from .envelopes import (
     envelope_height_bound,
     trace_invariants,
 )
-from .errors import ESTIMATE_DIGITS, ESTIMATE_MAX, InfeasibleError
+from .errors import ESTIMATE_DIGITS, ESTIMATE_MAX, InfeasibleError, check_natural, check_size
 from .reductions import decode_structure, encode_structure, strip_bad, unary_expand
 from .structures import ExtensionRequest, GenericPrefix, enumerate_embeddings
 from .trees import (
@@ -89,14 +89,13 @@ def cmd_val(args) -> str:
         if not args.sigma or args.height is None:
             raise ValueError("val needs --witness or both --sigma and --height")
         sig = bio.parse_signature(args.sigma)
-        dim = args.height if args.dim is None else args.dim
         levels = tuple(int(l) for l in args.levels.split(",")) if args.levels else None
         if args.full:
-            witness = full_tree_witness(sig, dim, args.height)
+            witness = full_tree_witness(sig, args.height, args.height)
         else:
-            witness = seeded_witness(sig, dim, args.height, args.seed, levels)
-    tree = build_valuation_tree(witness, args.height if args.witness is None else None,
-                                cap=args.cap)
+            witness = seeded_witness(sig, args.height, args.height, args.seed, levels)
+        check_natural(args.height, "height")
+    tree = build_valuation_tree(witness, cap=args.cap)
     if args.dot or args.output == "dot":
         return tree_to_dot(tree)
     return bio.dumps_with_nodes({"levels": list(tree.levels),
@@ -165,8 +164,8 @@ def cmd_decode(args) -> str:
 def cmd_unaries(args) -> str:
     if args.countable == (args.count is not None):
         raise ValueError("unaries needs exactly one of --count and --countable")
-    if args.count is not None and args.count < 0:
-        raise ValueError(f"--count must be a natural number, got {args.count}")
+    if args.count is not None:
+        check_natural(args.count, "--count")
     base = _structure(args.infile)
     u = None if args.countable else args.count
     product = unary_expand(base, u, size_cap=args.cap)
@@ -197,8 +196,8 @@ def _check_naturals(args) -> None:
     """Reject a negative count among the options the command declares."""
     for option in ("colour", "height", "prefix_size", "colours", "bound", "identity", "radial"):
         value = vars(args).get(option)
-        if value is not None and value < 0:
-            raise ValueError(f"--{option.replace('_', '-')} must be a natural number, got {value}")
+        if value is not None:
+            check_natural(value, f"--{option.replace('_', '-')}")
 
 
 def cmd_hl(args) -> str:
@@ -256,9 +255,7 @@ def cmd_tree_like(args) -> str:
 
 def _grown(ctx, grow, cap: int, action: str):
     """``ctx.grown(grow)``, or exit 2 first if the prefix would pass the cap."""
-    size = ctx.size + len(grow.requests)
-    if size > cap:
-        raise InfeasibleError(size, cap, f"adversarial {action} prefix")
+    check_size(ctx.size + len(grow.requests), cap, f"adversarial {action} prefix")
     return ctx.grown(grow)
 
 
@@ -273,6 +270,14 @@ def radial_example(m: int):
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        # A leaf command reports the arguments it does not read, so that the
+        # usage line printed is its own, not the top-level one.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self.get_default("func") is not None:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -313,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
              output=("dot",))
     s.add_argument("--sigma")
     s.add_argument("--height", type=int)
-    s.add_argument("--dim", type=int, default=None)
     s.add_argument("--levels", default=None)
     s.add_argument("--full", action="store_true")
     s.add_argument("--witness", default=None)

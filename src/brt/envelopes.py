@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 
-from .errors import InfeasibleError
+from .errors import check_size
 from .structures import (
     EnumeratedStructure,
     countable_symbol_name,
@@ -270,7 +270,7 @@ class Envelope:
         kept; ``None`` exactly when ``tree_nodes`` is."""
         if self.tree_nodes is None:
             return None
-        return build_valuation_tree(self.witness, self.height, cap=MATERIALIZE_CAP)
+        return build_valuation_tree(self.witness, cap=MATERIALIZE_CAP)
 
 
 def _dedup(nodes) -> tuple[ValuationFunction, ...]:
@@ -302,7 +302,7 @@ def compute_envelope(emb: EnvelopingEmbedding, subset) -> Envelope:
     stage level sets is the envelope's level set.  Every stage is completed
     to a strong subtree on that level set and the valuation tree of the
     resulting witness is the envelope; containment of the image nodes is
-    re-checked through the membership recursion rather than trusted.  The
+    re-checked through the membership test rather than trusted.  The
     tree itself is built only when ``Envelope.tree`` is first read.
     """
     subset = tuple(sorted(subset))
@@ -427,9 +427,7 @@ def degree_upper_bound(a: EnumeratedStructure, height: int, sig: Signature,
     profile counts the product, over its levels, of the strictly increasing
     node sequences that meet their vertices' constraints.
     """
-    est = count_tree_nodes(sig, 0, height)
-    if est > cap:
-        raise InfeasibleError(est, cap, f"tree prefix of height {height}")
+    est = check_size(count_tree_nodes(sig, 0, height), cap, f"tree prefix of height {height}")
     lang = tree_language(sig)
     rels: dict[str, list] = {}
     for name, tuples in a.relations:

@@ -28,6 +28,20 @@ def saturated_product(powers) -> int:
     return out
 
 
+def check_size(estimate: int, cap: int, what: str) -> int:
+    """``estimate``, or ``InfeasibleError`` when it exceeds ``cap``."""
+    if estimate > cap:
+        raise InfeasibleError(estimate, cap, what)
+    return estimate
+
+
+def check_natural(x: int, what: str) -> int:
+    """``x``, or ``ValueError`` when it is negative."""
+    if x < 0:
+        raise ValueError(f"{what} must be a natural number, got {x}")
+    return x
+
+
 class LanguageMismatchError(ValueError):
     """Two structures were combined but their languages differ."""
 

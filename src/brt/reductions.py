@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, saturated_product
+from .errors import check_size, saturated_product
 from .structures import (
     EnumeratedStructure,
     RelationalLanguage,
@@ -64,8 +64,7 @@ def unary_expand(base: EnumeratedStructure, u: int | None,
     if base.language.arity_count(1) or base.language.countable_unaries:
         raise ValueError("the base structure must be unary-free")
     pairs = _product_pairs(base.size, u)
-    if len(pairs) > size_cap:
-        raise InfeasibleError(len(pairs), size_cap, "unary product")
+    check_size(len(pairs), size_cap, "unary product")
     index = {p: i for i, p in enumerate(pairs)}
     max_unary = max((i for _, i in pairs), default=-1)
     lang = base.language
@@ -132,9 +131,8 @@ def encoded_language(language: RelationalLanguage) -> RelationalLanguage:
     symbols = [(n, a) for n, a in language.symbols if a == 1]
     for arity in sorted({a for _, a in language.symbols if a >= 2}):
         cat = symbol_catalogue(language, arity)
-        if len(cat) > CATALOGUE_CAP:
-            raise InfeasibleError(saturated_product([(2, len(cat))]), 2 ** CATALOGUE_CAP,
-                                  f"encoded language of arity {arity}")
+        check_size(saturated_product([(2, len(cat))]), 2 ** CATALOGUE_CAP,
+                   f"encoded language of arity {arity}")
         for r in range(1, len(cat) + 1):
             for sub in itertools.combinations(cat, r):
                 symbols.append((encoded_symbol_name(frozenset(sub)), arity))

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import InfeasibleError
+from .errors import check_size
 from .structures import (
     EnumeratedStructure,
     RelationalLanguage,
@@ -70,9 +70,7 @@ class paused_gc:
 def level_nodes(sig: Signature, shift: int, n: int, cap: int = DEFAULT_CAP
                 ) -> list[ValuationFunction]:
     """All nodes of the shift-``shift`` tree at level ``n``, in node order."""
-    est = count_level_nodes(sig, shift, n)
-    if est > cap:
-        raise InfeasibleError(est, cap, f"level {n} enumeration")
+    check_size(count_level_nodes(sig, shift, n), cap, f"level {n} enumeration")
     return successors_at(zero_valuation(sig, shift, 0), n, cap)
 
 
@@ -105,9 +103,7 @@ def successors_at(f: ValuationFunction, level: int, cap: int = DEFAULT_CAP
                if v is None else [(t, v)] for t, v in _slots(f, level)]
     est = 1
     for c in choices:
-        est *= len(c)
-        if est > cap:
-            raise InfeasibleError(est, cap, "successor enumeration")
+        est = check_size(est * len(c), cap, "successor enumeration")
     with paused_gc():
         return [_derived(f.sig, f.shift, level, tuple(filter(None, vec)))
                 for vec in itertools.product(*choices)]
@@ -312,9 +308,7 @@ def coordinate_nodes(coord, levels: tuple[int, ...], cap: int = DEFAULT_CAP
         for s in out[j]:
             for t in immediate_successors(s, cap):
                 nxt[coord.select(s, t, levels[j + 1])] = None
-        total += len(nxt)
-        if total > cap:
-            raise InfeasibleError(total, cap, "subtree materialisation")
+        total = check_size(total + len(nxt), cap, "subtree materialisation")
         out.append(sorted(nxt, key=tier_key))
     return out
 
@@ -344,67 +338,62 @@ class ValuationTree:
         return self.nodes_by_level[0][0]
 
 
-def _val_levels(witness: StrongSubtreeWitness, offset: int, k: int) -> list[dict]:
-    if k == 0:
-        return []
-    inner = _val_levels(witness, offset + 1, k - 1)
-    coord, levels = witness.coords[offset], witness.levels
-    out: list[dict] = [{coord.root: None}]
-    for m in range(k - 1):
-        nxt: dict = {}
-        for f, h in extensions(list(out[m]), list(inner[m])):
-            nxt[coord.select(f, h, levels[m + 1])] = None
-        out.append(nxt)
-    return out
+def build_valuation_tree(witness: StrongSubtreeWitness, cap: int = DEFAULT_CAP
+                         ) -> ValuationTree:
+    """The valuation tree of the witness, over all of its coordinates.
 
-
-def build_valuation_tree(witness: StrongSubtreeWitness, k: int | None = None,
-                         cap: int = DEFAULT_CAP) -> ValuationTree:
-    """Run the recursive valuation-tree construction over the witness.
-
-    Coordinate 0 supplies the nodes; a node's successors are the selections
-    above each admissible one-level extension by a node of the valuation tree
-    of the remaining coordinates.
+    In coordinate ``i``'s tree a node's successors are the selections above
+    each admissible one-level extension by a node of coordinate ``i+1``'s
+    tree, so the trees are built from the innermost coordinate outward.
     """
-    if k is None:
-        k = witness.dimension
-    if k > witness.dimension:
-        raise ValueError("not enough coordinates")
+    k = witness.dimension
     if witness.height < k:
         raise ValueError("witness height below its dimension")
-    est = count_tree_nodes(witness.sig, 0, k)
-    if est > cap:
-        raise InfeasibleError(est, cap, "valuation tree construction")
-    levels = _val_levels(witness, 0, k)
-    tiers = tuple(tuple(sorted(d, key=_entries_key)) for d in levels)
-    return ValuationTree(witness.sig, 0, witness.levels[:k], tiers)
+    check_size(count_tree_nodes(witness.sig, 0, k), cap, "valuation tree construction")
+    inner: list[dict] = []
+    for i in reversed(range(k)):
+        coord = witness.coords[i]
+        tiers: list[dict] = [{coord.root: None}]
+        for m in range(k - 1 - i):
+            nxt: dict = {}
+            for f, h in extensions(list(tiers[m]), list(inner[m])):
+                nxt[coord.select(f, h, witness.levels[m + 1])] = None
+            tiers.append(nxt)
+        inner = tiers
+    return ValuationTree(witness.sig, 0, witness.levels[:k],
+                         tuple(tuple(sorted(d, key=_entries_key)) for d in inner))
 
 
 def val_contains(witness: StrongSubtreeWitness, node: ValuationFunction,
                  coord: int = 0, height: int | None = None) -> bool:
-    """Membership test in the valuation tree, without materialising it."""
+    """Membership in the valuation tree of coordinates ``coord, …`` cut to
+    ``height`` tiers, without materialising it; the slices that must lie in
+    the inner trees wait on a worklist."""
     if height is None:
         height = witness.dimension - coord
     if height <= 0:
         return False
-    levels = witness.levels[:height]
-    if node.level not in levels:
-        return False
-    m = levels.index(node.level)
-    select = witness.coords[coord].select
-    s = node.restrict(levels[0])
-    if s != witness.root(coord):
-        return False
-    for j in range(m):
-        # Level j's restriction ``nxt`` is level j+1's parent ``s``.
-        t = node.restrict(levels[j] + 1)
-        nxt = node.restrict(levels[j + 1])
-        if select(s, t, levels[j + 1]) != nxt:
+    todo = [(node, coord, height)]
+    seen = set(todo)
+    while todo:
+        node, coord, height = todo.pop()
+        levels = witness.levels[:height]
+        if node.level not in levels:
             return False
-        g = nxt.slice_at((levels[j],))
-        if not val_contains(witness, g, coord + 1, height - 1):
+        select = witness.coords[coord].select
+        s = node.restrict(levels[0])
+        if s != witness.root(coord):
             return False
-        s = nxt
+        for j in range(levels.index(node.level)):
+            # Level j's restriction ``nxt`` is level j+1's parent ``s``.
+            nxt = node.restrict(levels[j + 1])
+            if select(s, node.restrict(levels[j] + 1), levels[j + 1]) != nxt:
+                return False
+            entry = (nxt.slice_at((levels[j],)), coord + 1, height - 1)
+            if entry not in seen:
+                seen.add(entry)
+                todo.append(entry)
+            s = nxt
     return True
 
 
@@ -428,29 +417,30 @@ def structural_embedding(tree: ValuationTree, cap: int = DEFAULT_CAP
     The map preserves meets and relative heights and carries each node's
     entries to the corresponding entries at image levels; it is recovered
     level by level, the image of a node being pinned down by its parent's
-    image, its value at the new singleton, and the image of its top slice.
+    image, its value at the new singleton, and the image of its top slice
+    in the derived inner tree, whose embedding comes first.
     """
-    sig, shift, k = tree.sig, tree.shift, tree.height
-    est = count_tree_nodes(sig, shift, k)
-    if est > cap:
-        raise InfeasibleError(est, cap, "structural embedding")
-    if k == 0:
+    check_size(count_tree_nodes(tree.sig, tree.shift, tree.height), cap, "structural embedding")
+    if not tree.height:
         return {}
-    emb = {zero_valuation(sig, shift, 0): tree.root}
-    if k == 1:
-        return emb
-    inner = structural_embedding(derived_inner_tree(tree), cap)
-    for m in range(k - 1):
-        lvl = tree.levels[m]
-        by_key: dict[tuple, list[ValuationFunction]] = {}
-        for c in tree.nodes_by_level[m + 1]:
-            key = (c.restrict(lvl), c.value((lvl,)), c.slice_at((lvl,)))
-            by_key.setdefault(key, []).append(c)
-        for u in level_nodes(sig, shift, m + 1, cap):
-            cands = by_key.get((emb[u.restrict(m)], u.value((m,)), inner[u.slice_at((m,))]), [])
-            if len(cands) != 1:
-                raise RuntimeError("structural embedding candidate not unique")
-            emb[u] = cands[0]
+    chain = [tree]
+    while chain[-1].height > 1:
+        chain.append(derived_inner_tree(chain[-1]))
+    emb: dict[ValuationFunction, ValuationFunction] = {}
+    for t in reversed(chain):
+        inner, emb = emb, {zero_valuation(t.sig, t.shift, 0): t.root}
+        for m in range(t.height - 1):
+            lvl = t.levels[m]
+            by_key: dict[tuple, list[ValuationFunction]] = {}
+            for c in t.nodes_by_level[m + 1]:
+                key = (c.restrict(lvl), c.value((lvl,)), c.slice_at((lvl,)))
+                by_key.setdefault(key, []).append(c)
+            for u in level_nodes(t.sig, t.shift, m + 1, cap):
+                cands = by_key.get((emb[u.restrict(m)], u.value((m,)), inner[u.slice_at((m,))]),
+                                   [])
+                if len(cands) != 1:
+                    raise RuntimeError("structural embedding candidate not unique")
+                emb[u] = cands[0]
     return emb
 
 
@@ -503,7 +493,7 @@ def _vf_label(f: ValuationFunction) -> str:
     if f.is_zero:
         body = "0"
     else:
-        body = ",".join(f"{''.join(map(str, t))}:{v}" for t, v in f.values)
+        body = ",".join(f"{'.'.join(map(str, t))}:{v}" for t, v in f.values)
     return f"L{f.level}|{body}"
 
 

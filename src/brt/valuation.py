@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from math import comb
 from operator import attrgetter
 
-from .errors import ESTIMATE_MAX, saturated_product
+from .errors import ESTIMATE_MAX, check_natural, saturated_product
 
 
 @dataclass(frozen=True)
@@ -266,16 +266,11 @@ def signature_from_language(language) -> Signature:
     return Signature(prefix, 1)
 
 
-def _natural(x: int, what: str) -> None:
-    if x < 0:
-        raise ValueError(f"{what} must be a natural number, got {x}")
-
-
 def count_level_nodes(sig: Signature, shift: int, n: int) -> int:
     """Number of level-``n`` nodes: product of bound^(#tuples) over lengths,
     exact up to ``ESTIMATE_MAX`` and ``ESTIMATE_MAX`` above it."""
-    _natural(n, "level")
-    _natural(shift, "shift")
+    check_natural(n, "level")
+    check_natural(shift, "shift")
     return saturated_product((sig.bound(shift, l), comb(n, l))
                              for l in sig.tracked_lengths(shift, n))
 
@@ -283,7 +278,7 @@ def count_level_nodes(sig: Signature, shift: int, n: int) -> int:
 def count_tree_nodes(sig: Signature, shift: int, height: int) -> int:
     """Number of nodes of level below ``height``, saturated like
     ``count_level_nodes``."""
-    _natural(height, "height")
+    check_natural(height, "height")
     if next(sig.tracked_lengths(shift, height - 1), None) is None:
         return min(height, ESTIMATE_MAX)   # each level holds just the zero node
     total = 0

@@ -153,13 +153,12 @@ def brute_extensions(f, g):
             for c in range(f.sig[f.shift + 1])]
 
 
-def brute_valuation_tree(witness, k=None):
+def brute_valuation_tree(witness):
     """The valuation tree's tiers by the pairwise construction: every node of
     a tier extended by every node of the inner tree's tier, one pair at a
     time through ``brute_extensions``, then the witness's selection above
-    each extension; each tier in (level, entries) order."""
-    if k is None:
-        k = witness.dimension
+    each extension, the inner trees built by recursion; each tier in
+    (level, entries) order."""
 
     def levels(offset, k):
         if k == 0:
@@ -175,7 +174,32 @@ def brute_valuation_tree(witness, k=None):
             out.append(nxt)
         return out
 
-    return tuple(tuple(sorted(d, key=lambda f: (f.level, f.values))) for d in levels(0, k))
+    return tuple(tuple(sorted(d, key=lambda f: (f.level, f.values)))
+                 for d in levels(0, witness.dimension))
+
+
+def brute_val_contains(witness, node, coord=0, height=None):
+    """Membership in the valuation tree of coordinates ``coord, …`` cut to
+    ``height`` tiers, by recursion: one call per slice that must lie in an
+    inner tree."""
+    if height is None:
+        height = witness.dimension - coord
+    if height <= 0:
+        return False
+    levels = witness.levels[:height]
+    if node.level not in levels:
+        return False
+    s = node.restrict(levels[0])
+    if s != witness.root(coord):
+        return False
+    for j in range(levels.index(node.level)):
+        nxt = node.restrict(levels[j + 1])
+        if witness.coords[coord].select(s, node.restrict(levels[j] + 1), levels[j + 1]) != nxt:
+            return False
+        if not brute_val_contains(witness, nxt.slice_at((levels[j],)), coord + 1, height - 1):
+            return False
+        s = nxt
+    return True
 
 
 def brute_completed_select(coord, parent, direction, next_level):

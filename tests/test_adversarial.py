@@ -125,6 +125,32 @@ def test_witness_signals_growth_on_small_prefix():
     assert len(out.requests) >= 1
 
 
+def _context_with_witnesses(colours):
+    """A context grown until identity mode finds a copy of each colour."""
+    ctx = PersistentColouringContext.fresh()
+    for p in range(colours):
+        while isinstance(res := triple_witness(ctx, p), GrowPrefix):
+            ctx = ctx.grown(res)
+    return ctx
+
+
+def test_an_explicit_identity_map_finds_the_same_witnesses():
+    ctx = _context_with_witnesses(6)
+    copies = [triple_witness(ctx, p) for p in range(6)]
+    assert (ctx.size, copies) == (10, [(2, 3, v) for v in range(4, 10)])
+    identity = {v: v for v in range(ctx.size)}
+    assert [triple_witness(ctx, p, identity) for p in range(6)] == copies
+
+
+@pytest.mark.parametrize("p", range(6))
+def test_a_shifted_map_exhausts_its_data_without_a_witness(p):
+    """A map cannot grow the prefix, so it reports running out of data."""
+    ctx = _context_with_witnesses(6)
+    shifted = {v: v + 1 for v in range(ctx.size - 1)}
+    with pytest.raises(ValueError, match="embedding data exhausted without a witness"):
+        triple_witness(ctx, p, shifted)
+
+
 def test_passing_sequence_consistency():
     ctx = PersistentColouringContext.fresh()
     for p in range(4):

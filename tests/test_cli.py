@@ -193,7 +193,7 @@ def test_val_output_matches_the_dict_form(capsys, sig, height, seed):
         witness, flags = full_tree_witness(sig, height, height), ("--full",)
     else:
         witness, flags = seeded_witness(sig, height, height, seed), ("--seed", str(seed))
-    want = bio.dumps_canonical(val_report(build_valuation_tree(witness, height)))
+    want = bio.dumps_canonical(val_report(build_valuation_tree(witness)))
     assert run(capsys, "val", "--sigma", sigma, "--height", str(height), *flags) == (0, want, "")
 
 
@@ -313,8 +313,8 @@ def test_an_option_before_the_subcommand_exits_one_with_usage(capsys, argv):
 LEAF_OPTIONS = {
     ("sig",): ["--lang"],
     ("tree",): ["--cap", "--output", "--sigma", "--shift", "--level", "--count-only"],
-    ("val",): ["--cap", "--seed", "--output", "--dot", "--sigma", "--height", "--dim",
-               "--levels", "--full", "--witness"],
+    ("val",): ["--cap", "--seed", "--output", "--dot", "--sigma", "--height", "--levels",
+               "--full", "--witness"],
     ("embed",): ["--output", "--a", "--b"],
     ("envelope",): ["--output", "--dot", "--prefix", "--k", "--subset"],
     ("degree",): ["--cap", "--output", "--a", "--height", "--sigma"],
@@ -348,7 +348,7 @@ def test_each_leaf_declares_the_options_it_reads():
         got[path] = [a.option_strings[0] for a in options]
         formats.update((path, a.choices) for a in options if a.dest == "output")
     assert got == LEAF_OPTIONS
-    assert sum(map(len, got.values())) == 51
+    assert sum(map(len, got.values())) == 50
     assert formats == {path: ["json", fmt] for path, fmt in OUTPUT_FORMATS.items()}
 
 
@@ -398,16 +398,27 @@ def test_help_on_each_leaf_exits_zero(capsys, leaf):
     (("adversarial", "inf", "--colour", "2"), "brt: error: unrecognized arguments: --colour 2"),
     (("adversarial", "tree-like", "--identity", "4", "--colour", "1"),
      "brt: error: unrecognized arguments: --colour 1"),
+    (("val", "--sigma", "3", "--height", "0", "--dim", "1"),
+     "brt val: error: unrecognized arguments: --dim 1"),
+    (("val", "--sigma", "3", "--height", "2", "--dim", "0"),
+     "brt val: error: unrecognized arguments: --dim 0"),
 ])
 def test_an_option_the_command_does_not_read_exits_one_with_usage(files, capsys, argv, error):
     """Each used to exit 0, the option ignored; ``--output`` takes only the
     formats its command prints, and no option name is read as a prefix of
-    another (``inf --colour`` is not ``--colours``)."""
+    another (``inf --colour`` is not ``--colours``).  ``val --dim`` is gone:
+    the tree always spans ``--height`` coordinates.
+
+    The leaf's own parser reports each error, under its own name in the
+    usage and error lines; the rows that spell the program ``brt:`` keep the
+    top-level parser's wording, which their test ids carry."""
     names = {"GRAPH_LANG": files["graph_lang"], "EDGE": files["edge"], "PATH3": files["path3"]}
     code, out, err = run(capsys, *(names.get(a, a) for a in argv))
     assert (code, out) == (1, "")
+    prog = "brt " + " ".join(argv[:2] if argv[0] in ("reduce", "adversarial") else argv[:1])
     lines = err.splitlines()
-    assert err.startswith("usage: brt ") and lines[-1].startswith(error)
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert lines[-1].startswith(error.replace("brt:", f"{prog}:", 1))
     assert [line for line in lines if ": error: " in line] == lines[-1:]
 
 
@@ -479,6 +490,17 @@ def test_negative_level_exits_one(capsys):
 def test_negative_height_exits_one(files, capsys):
     _one_line_error(*run(capsys, "degree", "--a", files["edge"], "--height", "-2"),
                     "height must be a natural number, got -2")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("val", "--sigma", "3", "--height", "-1"), "height must be a natural number, got -1"),
+    (("val", "--sigma", "3", "--height", "-2", "--full"),
+     "height must be a natural number, got -2"),
+    (("reduce", "unaries", "--in", "PATH3", "--count", "-1"),
+     "--count must be a natural number, got -1"),
+])
+def test_a_negative_count_exits_one(files, capsys, argv, error):
+    _one_line_error(*run(capsys, *(files["path3"] if a == "PATH3" else a for a in argv)), error)
 
 
 def test_negative_shift_exits_one(capsys):
@@ -754,18 +776,21 @@ def test_embed_output(files, capsys):
 
 
 def test_val_dot_and_table(capsys):
-    code, out, _ = run(capsys, "val", "--sigma", "1,2", "--height", "3",
-                       "--full", "--dot")
-    assert code == 0 and out.startswith("digraph") and out.count("->") == 3
+    """A DOT label separates the entries of a tuple with dots."""
+    assert run(capsys, "val", "--sigma", "1,2", "--height", "3", "--full", "--dot") == (0, (
+        'digraph valtree {\n'
+        '  node [shape=box];\n'
+        '  n0_0 [label="L0|0"];\n'
+        '  n1_0 [label="L1|0"];\n'
+        '  n2_0 [label="L2|0"];\n'
+        '  n2_1 [label="L2|1.0:1"];\n'
+        '  n0_0 -> n1_0;\n'
+        '  n1_0 -> n2_0;\n'
+        '  n1_0 -> n2_1;\n'
+        '}\n'), "")
     code, out, _ = run(capsys, "tree", "--sigma", "3", "--level", "1",
                        "--output", "table")
     assert code == 0 and len(out.splitlines()) == 3
-
-
-def test_val_with_zero_coordinates_exits_one(capsys):
-    """``--dim 0`` used to read as no ``--dim`` and build dimension 2."""
-    _one_line_error(*run(capsys, "val", "--sigma", "3", "--height", "2", "--dim", "0"),
-                    "not enough coordinates")
 
 
 def test_val_of_height_zero_is_the_empty_tree(capsys):
@@ -873,7 +898,7 @@ def test_witness_json_roundtrip():
     back = bio.witness_from_json(blob)
     assert back.levels == w.levels
     from brt.trees import build_valuation_tree
-    assert build_valuation_tree(back).nodes == build_valuation_tree(w, 2).nodes
+    assert build_valuation_tree(back).nodes == build_valuation_tree(w).nodes
 
 
 def test_val_from_witness_file(tmp_path, capsys):

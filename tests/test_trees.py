@@ -4,19 +4,22 @@ strong-subtree completion, and the bounded partition search."""
 import functools
 import gc
 import itertools
+import json
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brt import envelopes, trees
+from brt import cli, envelopes, trees
 from brt.envelopes import build_enveloping, compute_envelope
 from brt.errors import InfeasibleError
 from brt.trees import (
     CompletedCoordinate,
     _tag_digest,
+    _vf_label,
     ExplicitCoordinate,
     StrongSubtreeWitness,
     ValuationTree,
@@ -37,6 +40,7 @@ from brt.trees import (
     zero_extension,
 )
 from brt.valuation import (
+    Signature,
     count_level_nodes,
     count_tree_nodes,
     make_valuation,
@@ -55,6 +59,7 @@ from conftest import (
     brute_completed_select,
     brute_structural_embedding,
     brute_tree_to_dot,
+    brute_val_contains,
     brute_valuation_tree,
     is_structural,
     naive_digest,
@@ -124,10 +129,11 @@ def test_node_count_independent_of_witness(sig, k):
 
 
 def test_monotone_nesting_in_the_dimension():
+    """Seeded witnesses of dimensions 2 and 3 and one height share their
+    levels and their first two coordinates."""
     for seed in range(4):
-        w = seeded_witness(GRAPH_SIG, 3, 3, seed)
-        small = set(build_valuation_tree(w, 2).nodes)
-        big = set(build_valuation_tree(w, 3).nodes)
+        small = set(build_valuation_tree(seeded_witness(GRAPH_SIG, 2, 3, seed)).nodes)
+        big = set(build_valuation_tree(seeded_witness(GRAPH_SIG, 3, 3, seed)).nodes)
         assert small <= big
 
 
@@ -142,15 +148,85 @@ def test_val_membership_matches_materialisation():
             assert val_contains(w, f) == (f in members)
 
 
+def _membership_probes(nodes):
+    """The nodes, and beside each node above level 0 the hashed extension of
+    its restriction one level down, mostly off the tree."""
+    return nodes + [hashed_extension(f.restrict(f.level - 1), f.level, ("probe",))
+                    for f in nodes if f.level]
+
+
+def _assert_membership_matches_twin(witness, probes, coord=0, height=None):
+    for f in probes:
+        assert (val_contains(witness, f, coord, height)
+                == brute_val_contains(witness, f, coord, height))
+
+
+@given(st.sampled_from(TEST_SIGS + (DEEP_SIG,)), st.integers(1, 4), st.integers(0, 2),
+       st.integers(0, 10 ** 6), st.booleans(), st.data())
+@settings(max_examples=40, deadline=None, database=None)
+def test_val_contains_matches_the_recursive_twin_on_witnesses(sig, k, extra, seed, full, data):
+    """Full and seeded witnesses, the seeded ones on drawn levels, probed in
+    the tree of each coordinate, whole or cut to fewer tiers."""
+    if full:
+        witness = full_tree_witness(sig, k, k + extra)
+    else:
+        levels = tuple(sorted(data.draw(st.sets(st.integers(0, 7), min_size=k + extra,
+                                                max_size=k + extra))))
+        witness = seeded_witness(sig, k, k + extra, seed, levels)
+    tree = build_valuation_tree(witness)
+    coord = data.draw(st.integers(0, k - 1))
+    for _ in range(coord):
+        tree = derived_inner_tree(tree)
+    assert all(val_contains(witness, f, coord) for f in tree.nodes)
+    height = data.draw(st.none() | st.integers(0, k - coord))
+    _assert_membership_matches_twin(witness, _membership_probes(tree.nodes), coord, height)
+
+
+@pytest.mark.parametrize("kind,n", [("graph", 6), ("ternary", 5)])
+def test_val_contains_matches_the_recursive_twin_on_cascades(kind, n):
+    """Probes around each envelope's image nodes and their restrictions to
+    the envelope's levels."""
+    for env in _cascade_envelopes(kind, n):
+        probes = _membership_probes(list(env.stages[0].aligned))
+        _assert_membership_matches_twin(env.witness, probes, 0, env.height)
+        assert all(val_contains(env.witness, f, 0, env.height) for f in env.stages[0].slices)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_deep_witness_needs_no_recursion(capsys):
+    """With sigma = 1 each tier holds one node, so a witness of dimension 150
+    is cheap; the constructions once nested one call per coordinate, and
+    checking membership of the node at tier 60 nested 60 calls."""
+    witness = seeded_witness(Signature((1,)), 150, 150, 0)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        tree = build_valuation_tree(witness)
+        member = val_contains(witness, tree.nodes_by_level[60][0])
+        emb = structural_embedding(tree)
+        code = cli.main(["val", "--sigma", "1", "--height", "150"])
+    finally:
+        sys.setrecursionlimit(old)
+    assert len(tree.nodes) == 150 and member and len(emb) == 150
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "") and json.loads(out)["node_count"] == 150
+
+
 def test_witness_height_must_cover_dimension():
     w = seeded_witness(GRAPH_SIG, 3, 2, 0)
     with pytest.raises(ValueError):
         build_valuation_tree(w)
 
 
-def _assert_pairwise_tiers(witness, k):
-    tree = build_valuation_tree(witness, k)
-    assert tree.nodes_by_level == brute_valuation_tree(witness, k)
+def _assert_pairwise_tiers(witness):
+    tree = build_valuation_tree(witness)
+    assert tree.nodes_by_level == brute_valuation_tree(witness)
     return tree
 
 
@@ -159,7 +235,7 @@ def test_valuation_tree_matches_pairwise_construction_on_envelopes(kind, n):
     built = 0
     for env in _cascade_envelopes(kind, n):
         if env.tree is not None:
-            assert env.tree.nodes_by_level == brute_valuation_tree(env.witness, env.height)
+            assert env.tree.nodes_by_level == brute_valuation_tree(env.witness)
             built += 1
     assert built == sum(math.comb(n, k) for k in (2, 3))
 
@@ -167,7 +243,7 @@ def test_valuation_tree_matches_pairwise_construction_on_envelopes(kind, n):
 def test_valuation_tree_matches_pairwise_construction_on_a_height_five_envelope():
     env = compute_envelope(build_enveloping(prefix_structure("ternary", 6), 3), (0, 1, 4))
     assert env.height == 5 and len(env.tree.nodes) == 11_895
-    assert env.tree.nodes_by_level == brute_valuation_tree(env.witness, env.height)
+    assert env.tree.nodes_by_level == brute_valuation_tree(env.witness)
 
 
 # --- envelope trees: the closed-form count and the lazy tree ---------------------------
@@ -236,10 +312,10 @@ def test_envelope_tree_is_built_on_first_access_only(envelope_tree_builds):
 @pytest.mark.parametrize("sig", TEST_SIGS + (DEEP_SIG,))
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_valuation_tree_matches_pairwise_construction_on_full_and_seeded(sig, k):
-    full = _assert_pairwise_tiers(full_tree_witness(sig, k, k), k)
+    full = _assert_pairwise_tiers(full_tree_witness(sig, k, k))
     assert len(full.nodes) == count_tree_nodes(sig, 0, k)
     for seed in range(3):
-        _assert_pairwise_tiers(seeded_witness(sig, k, k, seed), k)
+        _assert_pairwise_tiers(seeded_witness(sig, k, k, seed))
 
 
 @given(st.sampled_from(TEST_SIGS + (DEEP_SIG,)), st.integers(1, 4), st.integers(0, 2),
@@ -250,8 +326,8 @@ def test_valuation_tree_matches_pairwise_construction_on_random_witnesses(
     height = k + extra
     levels = tuple(sorted(data.draw(st.sets(st.integers(0, 7), min_size=height,
                                             max_size=height))))
-    witness = seeded_witness(sig, k, height, seed, levels)
-    _assert_pairwise_tiers(witness, data.draw(st.integers(1, k)))
+    _assert_pairwise_tiers(seeded_witness(sig, data.draw(st.integers(1, k)), height, seed,
+                                          levels))
 
 
 # --- structural embeddings ----------------------------------------------------------
@@ -579,6 +655,19 @@ def test_subtree_snapshots_of_height_one_are_nodes():
 # --- DOT --------------------------------------------------------------------------------
 
 
+def _assert_distinct_labels(tree):
+    for tier in tree.nodes_by_level:
+        assert len({_vf_label(f) for f in tier}) == len(tier)
+
+
+def test_dot_labels_separate_tuple_entries():
+    """Joined without a separator, both entries would read ``210``."""
+    sig = Signature((2, 3, 3))
+    a = make_valuation(sig, 0, 22, {(21, 0): 1})
+    b = make_valuation(sig, 0, 22, {(2, 1, 0): 1})
+    assert (_vf_label(a), _vf_label(b)) == ("L22|21.0:1", "L22|2.1.0:1")
+
+
 def test_dot_output_shape():
     tree = build_valuation_tree(full_tree_witness(GRAPH_SIG, 2, 2))
     dot = tree_to_dot(tree)
@@ -592,13 +681,15 @@ def test_dot_edges_match_the_tier_scan_on_full_trees(sig):
     for height in range(1, 5):
         tree = build_valuation_tree(full_tree_witness(sig, height, height))
         assert tree_to_dot(tree) == brute_tree_to_dot(tree)
+        _assert_distinct_labels(tree)
 
 
 @given(st.sampled_from(TEST_SIGS), st.integers(1, 4), st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None, database=None)
 def test_dot_edges_match_the_tier_scan_on_seeded_trees(sig, height, seed):
-    tree = build_valuation_tree(seeded_witness(sig, height, height, seed), height)
+    tree = build_valuation_tree(seeded_witness(sig, height, height, seed))
     assert tree_to_dot(tree, "seeded") == brute_tree_to_dot(tree, "seeded")
+    _assert_distinct_labels(tree)
 
 
 @pytest.mark.parametrize("kind,size,k", [("graph", 6, 3), ("ternary", 5, 2)])
@@ -608,6 +699,7 @@ def test_dot_edges_match_the_tier_scan_on_envelope_trees(kind, size, k):
         tree = compute_envelope(emb, subset).tree
         if tree is not None:
             assert tree_to_dot(tree, "envelope") == brute_tree_to_dot(tree, "envelope")
+            _assert_distinct_labels(tree)
 
 
 # --- seeded selections: the tag is hashed once per extension ---------------------
