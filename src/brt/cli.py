@@ -35,7 +35,7 @@ from .trees import (
     seeded_witness,
     tree_to_dot,
 )
-from .valuation import count_level_nodes, signature_from_language
+from .valuation import count_level_nodes, count_tree_nodes, signature_from_language
 
 
 def _cap(flag: int | None) -> int:
@@ -90,11 +90,18 @@ def cmd_val(args) -> str:
             raise ValueError("val needs --witness or both --sigma and --height")
         sig = bio.parse_signature(args.sigma)
         levels = tuple(int(l) for l in args.levels.split(",")) if args.levels else None
+        check_natural(args.height, "height")
+        if levels is None:
+            # The tree spans all --height coordinates: refuse before building
+            # them.  A --levels list is checked by the witness, and its errors
+            # come first.
+            check_size(count_tree_nodes(sig, 0, args.height), args.cap,
+                       "valuation tree construction")
         if args.full:
             witness = full_tree_witness(sig, args.height, args.height)
         else:
-            witness = seeded_witness(sig, args.height, args.height, args.seed, levels)
-        check_natural(args.height, "height")
+            seed = 0 if args.seed is None else args.seed
+            witness = seeded_witness(sig, args.height, args.height, seed, levels)
     tree = build_valuation_tree(witness, cap=args.cap)
     if args.dot or args.output == "dot":
         return tree_to_dot(tree)
@@ -206,7 +213,7 @@ def cmd_hl(args) -> str:
 
 def cmd_hl_witness(args) -> str:
     _check_naturals(args)
-    subtree = adv.random_omega_subtree(args.seed, height=args.height)
+    subtree = adv.random_omega_subtree(0 if args.seed is None else args.seed, height=args.height)
     node = adv.seq_colour_witness(subtree, args.colour)
     return bio.dumps_canonical({"root": list(subtree.root),
                                 "levels": list(subtree.levels),
@@ -218,13 +225,13 @@ def cmd_inf(args) -> str:
     _check_naturals(args)
     ctx = adv.PersistentColouringContext.fresh()
     while ctx.size < args.prefix_size:
-        ctx = _grown(ctx, adv.GrowPrefix(adv._plain_vertex_requests(1)), args.cap, "inf")
+        ctx = _grown(ctx, adv.GrowPrefix(adv._plain_vertex_requests(1)), args.cap)
     copies = {}
     for p in range(args.colours + 1):
         while True:
             res = adv.triple_witness(ctx, p)
             if isinstance(res, adv.GrowPrefix):
-                ctx = _grown(ctx, res, args.cap, "inf")
+                ctx = _grown(ctx, res, args.cap)
                 continue
             copies[str(p)] = list(res)
             break
@@ -234,12 +241,15 @@ def cmd_inf(args) -> str:
 def cmd_tree_like(args) -> str:
     _check_naturals(args)
     if args.identity is not None or args.radial is not None:
+        # Refuse a prefix past the cap before building its requests.
+        size = args.identity if args.identity is not None else 2 * args.radial + 1
+        check_size(size, args.cap, "adversarial tree-like prefix")
         if args.identity is not None:
             grow = adv.GrowPrefix(adv._plain_vertex_requests(args.identity))
             fmap = {v: v for v in range(args.identity)}
         else:
             grow, fmap = radial_example(args.radial)
-        prefix = _grown(adv.PersistentColouringContext.fresh(), grow, args.cap, "tree-like").prefix
+        prefix = adv.PersistentColouringContext.fresh().grown(grow).prefix
     else:
         if args.map is None:
             raise ValueError("tree-like needs --identity, --radial or --map")
@@ -253,35 +263,49 @@ def cmd_tree_like(args) -> str:
         "checked": verdict.checked})
 
 
-def _grown(ctx, grow, cap: int, action: str):
+def _grown(ctx, grow, cap: int):
     """``ctx.grown(grow)``, or exit 2 first if the prefix would pass the cap."""
-    check_size(ctx.size + len(grow.requests), cap, f"adversarial {action} prefix")
+    check_size(ctx.size + len(grow.requests), cap, "adversarial inf prefix")
     return ctx.grown(grow)
 
 
 def radial_example(m: int):
-    """Embedding data hostile to tree-likeness, as a prefix growth and a map:
-    ``m + 1`` plain vertices, then the i-th image vertex joined to vertex 0
-    by the i-th binary colour, so types over the initial segment pin images
-    down completely."""
+    """Embedding data hostile to tree-likeness, as a prefix growth of
+    ``2m + 1`` vertices and a map: ``m + 1`` plain vertices, then the i-th
+    image vertex joined to vertex 0 by the i-th binary colour, so types over
+    the initial segment pin images down completely."""
     radial = tuple(ExtensionRequest.of((0,), {(0,): i}) for i in range(1, m + 1))
     grow = adv.GrowPrefix(adv._plain_vertex_requests(m + 1) + radial)
     return grow, {i: m + i for i in range(1, m + 1)}
 
 
 class _Parser(argparse.ArgumentParser):
+    # A leaf's modes: the option that selects each mode, and the options the
+    # mode does not read.
+    modes: dict[str, tuple[str, ...]] = {}
+
     def parse_known_args(self, args=None, namespace=None):
         # A leaf command reports the arguments it does not read, so that the
         # usage line printed is its own, not the top-level one.
         namespace, extras = super().parse_known_args(args, namespace)
-        if extras and self.get_default("func") is not None:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        if self.get_default("func") is not None:
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            for mode, unread in self.modes.items():
+                if getattr(namespace, mode):
+                    for dest in unread:
+                        if getattr(namespace, dest) != self.get_default(dest):
+                            self.error(f"{_flag(mode)} does not read {_flag(dest)}")
         return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         if cap:
             s.add_argument("--cap", type=int, default=None, help="node-count cap")
         if seed:
-            s.add_argument("--seed", type=int, default=0, help="deterministic seed")
+            # None tells a given --seed 0 from none; the commands read it as 0.
+            s.add_argument("--seed", type=int, default=None, help="deterministic seed")
         if output:
             s.add_argument("--output", choices=["json", *output], default="json")
         if "dot" in output:
@@ -309,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lang", required=True)
 
     s = leaf(sub, "tree", cmd_tree, "nodes of one tree level", cap=True, output=("table",))
+    s.modes = {"count_only": ("cap", "output")}
     s.add_argument("--sigma", required=True)
     s.add_argument("--shift", type=int, default=0)
     s.add_argument("--level", type=int, required=True)
@@ -316,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = leaf(sub, "val", cmd_val, "valuation tree of a witness", cap=True, seed=True,
              output=("dot",))
+    s.modes = {"witness": ("sigma", "height", "seed", "full", "levels"),
+               "full": ("seed", "levels")}
     s.add_argument("--sigma")
     s.add_argument("--height", type=int)
     s.add_argument("--levels", default=None)

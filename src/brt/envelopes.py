@@ -31,18 +31,20 @@ from .trees import (
     ValuationTree,
     build_valuation_tree,
     tree_language,
-    val_contains,
+    val_contains_all,
 )
 from .valuation import (
     Signature,
     ValuationFunction,
-    comparable,
+    _derived,
+    _meet_level,
+    adjacent_meets,
     count_tree_nodes,
     decreasing_tuples,
-    make_valuation,
     meet,
     signature_from_language,
     tier_key,
+    tuple_sort_key,
     zero_valuation,
 )
 
@@ -155,7 +157,11 @@ def build_enveloping(structure: EnumeratedStructure, k: int) -> EnvelopingEmbedd
             marker = BranchMarker(colour, rest[m:])
             key = tuple(vertex_level[x] for x in rest[:m]) + (marker_level[marker],)
             entries[key] = sig[m + 1] - 1
-    images = {v: make_valuation(sig, 0, vertex_level[v], vals[v]) for v in range(n)}
+    # The structure was validated when it was read or made, so each image
+    # needs only its entries in (length, lex) order.
+    images = {v: _derived(sig, 0, vertex_level[v],
+                          tuple(sorted(vals[v].items(), key=lambda e: tuple_sort_key(e[0]))))
+              for v in range(n)}
 
     return EnvelopingEmbedding(
         k, sig, structure, vertex_level, marker_level, images,
@@ -195,9 +201,10 @@ def verify_k_enveloping(emb: EnvelopingEmbedding, k: int | None = None) -> Verdi
     for (v1, x1, s1), (v2, x2, s2) in itertools.combinations(slices, 2):
         if len(x1) != len(x2):
             continue
-        if comparable(s1, s2):
+        # Comparable slices meet at the lower of their levels.
+        lvl = _meet_level(s1, s2)
+        if lvl == min(s1.level, s2.level):
             continue
-        lvl = meet(s1, s2).level
         if lvl not in emb.branching:
             return Verdict(False, "meet_not_branching", (v1, x1, v2, x2, lvl))
     return Verdict(True)
@@ -232,8 +239,12 @@ class EnvelopeStage:
     aligned: tuple[ValuationFunction, ...] = ()
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._levels = tuple(sorted({f.level for f in self.meets}))
+
     def levels(self) -> tuple[int, ...]:
-        return tuple(sorted({f.level for f in self.meets}))
+        """The levels of the meet closure, in increasing order."""
+        return self._levels
 
 
 @dataclass
@@ -286,8 +297,7 @@ def _stage(sig: Signature, index: int, sliced: dict) -> EnvelopeStage:
     padded = _dedup(slices + (top,))
     prov = dict(sliced)
     prov.setdefault(top, None)
-    meets = _dedup(meet(f, g) for f, g in
-                   itertools.combinations_with_replacement(padded, 2))
+    meets = _dedup(padded + tuple(adjacent_meets(padded)))
     for m in meets:
         if m not in prov:
             prov[m] = prov[next(f for f in padded if f.extends(m))]
@@ -348,7 +358,7 @@ def compute_envelope(emb: EnvelopingEmbedding, subset) -> Envelope:
         coords.append(CompletedCoordinate(sig, st.index, aligned, level_set))
     witness = StrongSubtreeWitness(sig, level_set, tuple(coords))
 
-    contained = all(val_contains(witness, f, 0, height) for f in images)
+    contained = val_contains_all(witness, images, 0, height)
     return Envelope(sig, emb.k, subset, level_set, height, tuple(stages),
                     witness, contained)
 

@@ -34,6 +34,9 @@ def _key(obj, key: str, what: str):
 
 
 def _ints(x, what: str) -> tuple[int, ...]:
+    if type(x) is list and all(type(v) is int for v in x):
+        return tuple(x)
+    # Otherwise name the first entry that is not an integer (``true`` too).
     return tuple(_typed(v, int, what) for v in _typed(x, list, what))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -29,11 +30,11 @@ from .valuation import (
     Signature,
     ValuationFunction,
     _derived,
+    adjacent_meets,
     count_level_nodes,
     count_tree_nodes,
     decreasing_tuples,
     extensions,
-    meet,
     node_key,
     tier_key,
     tuple_colour,
@@ -216,27 +217,30 @@ class CompletedCoordinate:
         self.shift = shift
         members = set(nodes)
         self.nodes = sorted(members, key=tier_key)
-        node_levels = {f.level for f in self.nodes}
+        self._node_levels = [f.level for f in self.nodes]
+        node_levels = set(self._node_levels)
         self.levels = tuple(sorted(node_levels) if levels is None else levels)
         if not node_levels <= set(self.levels):
             raise ValueError("node levels must lie inside the target level set")
-        for f, g in itertools.combinations(self.nodes, 2):
-            if meet(f, g) not in members:
-                raise ValueError("node set is not meet-closed")
+        if any(m not in members for m in adjacent_meets(self.nodes)):
+            raise ValueError("node set is not meet-closed")
         # The meet of all the nodes lies in the set, at its least level, and
         # is the one node there: first in tier order.
         self.root = self.nodes[0].restrict(self.levels[0]) if self.nodes else None
         self._index: dict[tuple[int, int], dict] = {}
 
     def select(self, parent, direction, next_level):
-        key = (direction.level, next_level)
-        index = self._index.get(key)
+        low, high = direction.level, next_level
+        index = self._index.get((low, high))
         if index is None:
             # The first node in tier order that extends a direction wins.
-            index = self._index[key] = {}
-            for u in self.nodes:
-                if u.level >= max(direction.level, next_level):
-                    index.setdefault(u.restrict(direction.level), u.restrict(next_level))
+            # Tier order puts lower levels first, so the nodes high enough
+            # for both cuts form a tail.
+            index = self._index[(low, high)] = {}
+            for u in self.nodes[bisect_left(self._node_levels, max(low, high)):]:
+                d = u.restrict(low)
+                if d not in index:
+                    index[d] = u.restrict(high)
         found = index.get(direction)
         return zero_extension(direction, next_level) if found is None else found
 
@@ -364,16 +368,17 @@ def build_valuation_tree(witness: StrongSubtreeWitness, cap: int = DEFAULT_CAP
                          tuple(tuple(sorted(d, key=_entries_key)) for d in inner))
 
 
-def val_contains(witness: StrongSubtreeWitness, node: ValuationFunction,
-                 coord: int = 0, height: int | None = None) -> bool:
-    """Membership in the valuation tree of coordinates ``coord, …`` cut to
-    ``height`` tiers, without materialising it; the slices that must lie in
-    the inner trees wait on a worklist."""
+def val_contains_all(witness: StrongSubtreeWitness, nodes,
+                     coord: int = 0, height: int | None = None) -> bool:
+    """Whether every node lies in the valuation tree of coordinates
+    ``coord, …`` cut to ``height`` tiers, without materialising it.  The
+    slices that must lie in the inner trees wait on one worklist shared by
+    all the nodes, so an entry that two nodes need is checked once."""
     if height is None:
         height = witness.dimension - coord
-    if height <= 0:
+    todo = list(dict.fromkeys((f, coord, height) for f in nodes))
+    if todo and height <= 0:
         return False
-    todo = [(node, coord, height)]
     seen = set(todo)
     while todo:
         node, coord, height = todo.pop()
@@ -395,6 +400,12 @@ def val_contains(witness: StrongSubtreeWitness, node: ValuationFunction,
                 todo.append(entry)
             s = nxt
     return True
+
+
+def val_contains(witness: StrongSubtreeWitness, node: ValuationFunction,
+                 coord: int = 0, height: int | None = None) -> bool:
+    """Membership of one node, as ``val_contains_all`` checks it."""
+    return val_contains_all(witness, (node,), coord, height)
 
 
 def derived_inner_tree(tree: ValuationTree) -> ValuationTree:

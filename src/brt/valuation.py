@@ -106,8 +106,10 @@ class ValuationFunction:
         """Truncate to a lower level, keeping entries on tuples below it."""
         if not 0 <= level <= self.level:
             raise ValueError(f"cannot restrict level {self.level} to {level}")
-        kept = tuple(e for e in self.values if e[0][0] < level)
-        return _derived(self.sig, self.shift, level, kept)
+        if level == self.level:
+            return self   # nodes are immutable, so the node is its own restriction
+        kept = [e for e in self.values if e[0][0] < level]
+        return _derived(self.sig, self.shift, level, tuple(kept))
 
     def slice_at(self, xbar: tuple[int, ...]) -> "ValuationFunction":
         """Fix the leading coordinates to ``xbar``; shift rises by ``len(xbar)``.
@@ -117,6 +119,13 @@ class ValuationFunction:
         """
         if not xbar:
             return self
+        if len(xbar) == 1:
+            # The cascade's cut: one coordinate, nothing to order.
+            x = xbar[0]
+            if not 0 <= x < self.level:
+                raise ValueError(f"slice tuple {xbar} out of range")
+            kept = [(t[1:], v) for t, v in self.values if len(t) > 1 and t[0] == x]
+            return _derived(self.sig, self.shift + 1, x, tuple(kept))
         if any(xbar[i] <= xbar[i + 1] for i in range(len(xbar) - 1)):
             raise ValueError(f"slice tuple {xbar} is not strictly decreasing")
         if not (0 <= xbar[-1] and xbar[0] < self.level):
@@ -179,6 +188,8 @@ def _meet_level(f: ValuationFunction, g: ValuationFunction) -> int:
     of an entry the two nodes do not share, whichever is less."""
     if (f.sig, f.shift) != (g.sig, g.shift):
         raise ValueError("meet requires nodes of the same tree")
+    if f.values == g.values:
+        return min(f.level, g.level)
     return min(f.level, g.level, *(t[0] for t, _ in set(f.values) ^ set(g.values)))
 
 
@@ -189,6 +200,26 @@ def meet(f: ValuationFunction, g: ValuationFunction) -> ValuationFunction:
 
 def comparable(f: ValuationFunction, g: ValuationFunction) -> bool:
     return _meet_level(f, g) == min(f.level, g.level)
+
+
+def _dfs_key(f: ValuationFunction) -> list:
+    """Depth-first order on one tree: the node's entries grouped by leading
+    coordinate, one group per level below the node.  A restriction's key is
+    a prefix of the node's key, so each node's extensions follow it in one
+    unbroken run."""
+    groups: list[list] = [[] for _ in range(f.level)]
+    for e in f.values:
+        groups[e[0][0]].append(e)
+    return groups
+
+
+def adjacent_meets(nodes) -> list[ValuationFunction]:
+    """The meets of the nodes adjacent in depth-first order.  Together with
+    the nodes they form the meet closure of the set: the meet of any two
+    nodes is the lowest of the adjacent meets between them, since a node's
+    extensions run unbroken in this order."""
+    order = sorted(nodes, key=_dfs_key)
+    return [meet(f, g) for f, g in zip(order, order[1:])]
 
 
 def extensions(fs: Sequence[ValuationFunction], gs: Sequence[ValuationFunction]

@@ -202,6 +202,22 @@ def brute_val_contains(witness, node, coord=0, height=None):
     return True
 
 
+def brute_meet_closure(nodes):
+    """The meet closure by all pairs, repeated until no new meet appears."""
+    closed = set(nodes)
+    while True:
+        new = {meet(f, g) for f, g in itertools.combinations(closed, 2)} - closed
+        if not new:
+            return closed
+        closed |= new
+
+
+def brute_meet_closed(nodes):
+    """Whether the meet of every two of the nodes lies among them."""
+    members = set(nodes)
+    return all(meet(f, g) in members for f, g in itertools.combinations(members, 2))
+
+
 def brute_completed_select(coord, parent, direction, next_level):
     """Completed-coordinate selection by a scan of the node set in tier order:
     the first node at or above ``next_level`` extending the direction,

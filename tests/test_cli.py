@@ -402,6 +402,23 @@ def test_help_on_each_leaf_exits_zero(capsys, leaf):
      "brt val: error: unrecognized arguments: --dim 1"),
     (("val", "--sigma", "3", "--height", "2", "--dim", "0"),
      "brt val: error: unrecognized arguments: --dim 0"),
+    (("tree", "--sigma", "3", "--level", "3", "--count-only", "--cap", "1", "--output", "table"),
+     "brt: error: --count-only does not read --cap"),
+    (("tree", "--sigma", "3", "--level", "3", "--count-only", "--output", "table"),
+     "brt: error: --count-only does not read --output"),
+    (("val", "--sigma", "3", "--height", "3", "--full", "--seed", "9", "--levels", "0,5,9"),
+     "brt: error: --full does not read --seed"),
+    (("val", "--sigma", "3", "--height", "3", "--full", "--seed", "0"),
+     "brt: error: --full does not read --seed"),
+    (("val", "--sigma", "3", "--height", "3", "--full", "--levels", "0,5,9"),
+     "brt: error: --full does not read --levels"),
+    (("val", "--witness", "EDGE", "--sigma", "3"), "brt: error: --witness does not read --sigma"),
+    (("val", "--witness", "EDGE", "--height", "3"),
+     "brt: error: --witness does not read --height"),
+    (("val", "--witness", "EDGE", "--seed", "4"), "brt: error: --witness does not read --seed"),
+    (("val", "--witness", "EDGE", "--full"), "brt: error: --witness does not read --full"),
+    (("val", "--witness", "EDGE", "--levels", "0,1"),
+     "brt: error: --witness does not read --levels"),
 ])
 def test_an_option_the_command_does_not_read_exits_one_with_usage(files, capsys, argv, error):
     """Each used to exit 0, the option ignored; ``--output`` takes only the
@@ -420,6 +437,15 @@ def test_an_option_the_command_does_not_read_exits_one_with_usage(files, capsys,
     assert err.startswith(f"usage: {prog} [-h]")
     assert lines[-1].startswith(error.replace("brt:", f"{prog}:", 1))
     assert [line for line in lines if ": error: " in line] == lines[-1:]
+
+
+def test_a_mode_takes_the_defaults_of_the_options_it_does_not_read(capsys):
+    """``--output json`` is the default a ``--count-only`` count is printed in,
+    and a seeded tree without ``--seed`` reads seed 0."""
+    assert run(capsys, "tree", "--sigma", "3", "--level", "3", "--count-only",
+               "--output", "json") == (0, '{"count":27}\n', "")
+    argv = ("val", "--sigma", "3", "--height", "3")
+    assert run(capsys, *argv) == run(capsys, *argv, "--seed", "0")
 
 
 def test_readme_cli_examples_parse():
@@ -653,6 +679,7 @@ def test_inf_prefix_growth_stops_at_the_cap(capsys):
 @pytest.mark.parametrize("argv,estimate", [
     (("--identity", "4000"), 4000),
     (("--radial", "1000"), 2001),
+    (("--radial", "1000000"), 2000001),
 ])
 def test_tree_like_prefix_growth_stops_at_the_cap(capsys, argv, estimate):
     """The prefix size is checked before any vertex is built: ``--identity N``
@@ -673,6 +700,22 @@ def test_tree_like_prefix_at_the_cap_runs(capsys, argv, cap):
     code, out, _ = run(capsys, "adversarial", "tree-like", *argv, "--bound", "6",
                        "--cap", str(cap - 1))
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("mode", [(), ("--full",)], ids=["seeded", "full"])
+def test_val_refuses_a_tree_past_the_cap_before_building_its_witness(capsys, mode):
+    """A million coordinates used to be built first, for 9 s; a negative
+    height is still an input error, checked before the size."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "val", "--sigma", "3:5", "--height", "1000000", *mode,
+                         "--cap", "10")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == bio.dumps_canonical({"cap": 10, "error": "infeasible",
+                                       "estimate": ESTIMATE_MAX,
+                                       "what": "valuation tree construction"})
+    assert run(capsys, "val", "--sigma", "3", "--height", "-1", *mode, "--cap", "1") == (
+        1, "", "brt: error: height must be a natural number, got -1\n")
 
 
 def test_degree_at_height_12_is_quick(files, capsys):

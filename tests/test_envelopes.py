@@ -31,6 +31,7 @@ from brt.valuation import (
 
 from conftest import (
     GRAPH_SIG,
+    brute_meet_closure,
     is_structural,
     naive_cascade,
     naive_degree_upper_bound,
@@ -222,6 +223,9 @@ def _assert_walks_match_twins(emb):
     assert (emb.vertex_level, emb.marker_level) == naive_marker_levels(
         emb.sig, emb.k, emb.structure.size)
     assert emb.images == naive_enveloping_images(emb)
+    # The images skip the validating constructor; each must pass it unchanged.
+    assert all(f == make_valuation(f.sig, 0, f.level, dict(f.values))
+               for f in emb.images.values())
     for j in (1, 2, 3):
         assert verify_k_enveloping(emb, j) == naive_verify_k_enveloping(emb, j)
 
@@ -233,6 +237,7 @@ def _assert_cascade_matches_twin(emb, subset):
     for got, want in zip(env.stages, twin):
         assert (got.slices, got.padded, got.meets, got.aligned) == (
             want.slices, want.padded, want.meets, want.aligned)
+        assert set(got.meets) == brute_meet_closure(got.padded)
         assert list(got.provenance.items()) == list(want.provenance.items())
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brt.io import dumps_canonical, dumps_with_nodes, nodes_json, valuation_to_json
+from brt.io import _ints, dumps_canonical, dumps_with_nodes, nodes_json, valuation_to_json
 from brt.valuation import make_valuation
 
 from conftest import DEEP_SIG, TEST_SIGS, brute_level_nodes, sparse_with_upper
@@ -58,3 +58,13 @@ def test_dumps_with_nodes_matches_dumps_canonical():
     assert dumps_with_nodes(obj) == dumps_canonical(want)
     assert dumps_with_nodes({}) == "{}\n"
     assert dumps_with_nodes(nodes[:1]) == dumps_canonical(dicts[:1])
+
+
+def test_ints_reads_an_integer_list_whole_and_names_any_other_entry():
+    assert _ints([], "levels") == () and _ints([3, 0, 7], "levels") == (3, 0, 7)
+    for bad, shown in (([1, True], "true"), ([1, 2.5], "2.5"), ([[1]], "[1]"), (["1"], '"1"')):
+        with pytest.raises(ValueError) as err:
+            _ints(bad, "a tuple")
+        assert str(err.value) == f"a tuple must be an integer, got {shown}"
+    with pytest.raises(ValueError, match='^levels must be a list, got "0,1"$'):
+        _ints("0,1", "levels")

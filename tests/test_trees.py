@@ -6,6 +6,7 @@ import gc
 import itertools
 import json
 import math
+import random
 import sys
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brt import cli, envelopes, trees
+from brt import cli, envelopes, trees, valuation
 from brt.envelopes import build_enveloping, compute_envelope
 from brt.errors import InfeasibleError
 from brt.trees import (
@@ -37,10 +38,12 @@ from brt.trees import (
     successors_at,
     tree_to_dot,
     val_contains,
+    val_contains_all,
     zero_extension,
 )
 from brt.valuation import (
     Signature,
+    adjacent_meets,
     count_level_nodes,
     count_tree_nodes,
     make_valuation,
@@ -57,6 +60,8 @@ from conftest import (
     TEST_SIGS,
     assert_strong_subtree,
     brute_completed_select,
+    brute_meet_closed,
+    brute_meet_closure,
     brute_structural_embedding,
     brute_tree_to_dot,
     brute_val_contains,
@@ -159,6 +164,8 @@ def _assert_membership_matches_twin(witness, probes, coord=0, height=None):
     for f in probes:
         assert (val_contains(witness, f, coord, height)
                 == brute_val_contains(witness, f, coord, height))
+    assert (val_contains_all(witness, probes, coord, height)
+            == all(val_contains(witness, f, coord, height) for f in probes))
 
 
 @given(st.sampled_from(TEST_SIGS + (DEEP_SIG,)), st.integers(1, 4), st.integers(0, 2),
@@ -190,6 +197,27 @@ def test_val_contains_matches_the_recursive_twin_on_cascades(kind, n):
         probes = _membership_probes(list(env.stages[0].aligned))
         _assert_membership_matches_twin(env.witness, probes, 0, env.height)
         assert all(val_contains(env.witness, f, 0, env.height) for f in env.stages[0].slices)
+
+
+@pytest.mark.parametrize("kind,n", [("graph", 6), ("ternary", 5)])
+def test_val_contains_all_matches_one_node_at_a_time_on_cascades(kind, n):
+    """Image nodes mixed with perturbed non-members, checked in one shared
+    walk, node by node, and by the recursive twin; the empty list holds."""
+    rng = random.Random(n)
+    answers = set()
+    for env in _cascade_envelopes(kind, n):
+        w, h = env.witness, env.height
+        probes = _membership_probes(list(env.stages[0].aligned))
+        groups = [list(env.stages[0].slices), probes]
+        groups += [rng.sample(probes, rng.randint(1, len(probes))) for _ in range(4)]
+        for nodes in groups:
+            want = all(val_contains(w, f, 0, h) for f in nodes)
+            assert val_contains_all(w, nodes, 0, h) == want
+            assert want == all(brute_val_contains(w, f, 0, h) for f in nodes)
+            answers.add(want)
+        assert val_contains_all(w, [], 0, h) and val_contains_all(w, [], 0, 0)
+        assert not val_contains_all(w, env.stages[0].slices, 0, 0)
+    assert answers == {True, False}
 
 
 def _stack_depth():
@@ -473,25 +501,28 @@ def test_completed_select_matches_scan_on_cascades(kind, n, monkeypatch):
         _select_agrees(*query)
 
 
-@st.composite
-def _completed_queries(draw):
-    """A meet-closed node set grown by hashed extensions of restrictions of
-    its own nodes, a level set around it, and selection queries against it."""
-    sig = draw(st.sampled_from(TEST_SIGS))
+def _grown_nodes(draw, sig, growths):
+    """Nodes of one tree grown by hashed extensions of restrictions of their
+    own nodes."""
     shift = draw(st.integers(0, 1))
     nodes = [hashed_extension(zero_valuation(sig, shift, 0), draw(st.integers(0, 4)),
                               ("root", draw(st.integers(0, 9))))]
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(draw(st.integers(0, growths))):
         f = draw(st.sampled_from(nodes))
         base = f.restrict(draw(st.integers(0, f.level)))
         nodes.append(hashed_extension(base, base.level + draw(st.integers(0, 3)),
                                       ("grow", draw(st.integers(0, 9)))))
-    closed = set(nodes)
-    while True:
-        new = {meet(f, g) for f, g in itertools.combinations(closed, 2)} - closed
-        if not new:
-            break
-        closed |= new
+    return nodes
+
+
+@st.composite
+def _completed_queries(draw):
+    """A meet-closed node set grown by ``_grown_nodes``, a level set around
+    it, and selection queries against it."""
+    sig = draw(st.sampled_from(TEST_SIGS))
+    nodes = _grown_nodes(draw, sig, 5)
+    shift = nodes[0].shift
+    closed = brute_meet_closure(nodes)
     levels = tuple(sorted({f.level for f in closed}
                           | set(draw(st.lists(st.integers(0, 7), max_size=2)))))
     coord = CompletedCoordinate(sig, shift, closed, levels)
@@ -514,6 +545,69 @@ def test_completed_select_matches_scan_on_random_sets(case):
     assert coord.root == functools.reduce(meet, coord.nodes).restrict(coord.levels[0])
     for direction, next_level in queries:
         _select_agrees(coord, direction.restrict(0), direction, next_level)
+
+
+@st.composite
+def _node_sets(draw):
+    """Node sets from ``_grown_nodes``: as grown, closed under meets, or
+    closed and then missing one node."""
+    sig = draw(st.sampled_from(TEST_SIGS + (DEEP_SIG,)))
+    nodes = _grown_nodes(draw, sig, 7)
+    shift = nodes[0].shift
+    form = draw(st.sampled_from(["grown", "closed", "closed less one"]))
+    if form != "grown":
+        nodes = sorted(brute_meet_closure(nodes), key=tier_key)
+    if form == "closed less one":
+        del nodes[draw(st.integers(0, len(nodes) - 1))]
+    return sig, shift, nodes
+
+
+@given(_node_sets())
+@settings(max_examples=300, deadline=None, database=None)
+def test_adjacent_meets_close_a_node_set_like_all_pairs(case):
+    """The depth-first closure equals the all-pairs closure, and completing
+    a coordinate refuses exactly the sets the all-pairs check finds open."""
+    sig, shift, nodes = case
+    assert set(nodes) | set(adjacent_meets(nodes)) == brute_meet_closure(nodes)
+    if brute_meet_closed(nodes):
+        assert set(CompletedCoordinate(sig, shift, nodes).nodes) == set(nodes)
+    else:
+        with pytest.raises(ValueError, match="node set is not meet-closed"):
+            CompletedCoordinate(sig, shift, nodes)
+
+
+def test_each_closure_takes_one_meet_per_adjacent_pair(monkeypatch):
+    """On the staged ternary prefix of size 5, each cascade stage and each
+    completed coordinate computes at most n - 1 meet levels for its n nodes,
+    counted wherever a module holds ``_meet_level``."""
+    meets, calls = [], []
+    real_level, real_stage = valuation._meet_level, envelopes._stage
+    real_init = CompletedCoordinate.__init__
+
+    def counting_level(f, g):
+        meets.append(None)
+        return real_level(f, g)
+
+    def stage(*args):
+        before = len(meets)
+        out = real_stage(*args)
+        calls.append(("stage", len(out.padded), len(meets) - before))
+        return out
+
+    def init(self, *args):
+        before = len(meets)
+        real_init(self, *args)
+        calls.append(("coordinate", len(self.nodes), len(meets) - before))
+
+    for module in (valuation, trees, envelopes):
+        if hasattr(module, "_meet_level"):
+            monkeypatch.setattr(module, "_meet_level", counting_level)
+    monkeypatch.setattr(envelopes, "_stage", stage)
+    monkeypatch.setattr(CompletedCoordinate, "__init__", init)
+    envs = list(_cascade_envelopes("ternary", 5))
+    assert envs and {kind for kind, _, _ in calls} == {"stage", "coordinate"}
+    assert all(count <= n - 1 for _, n, count in calls)
+    assert max(n for _, n, _ in calls) >= 5
 
 
 @pytest.mark.parametrize("kind,n", [("graph", 6), ("ternary", 4)])
