@@ -29,13 +29,14 @@ from .structures import ExtensionRequest, GenericPrefix, enumerate_embeddings
 from .trees import (
     DEFAULT_CAP,
     build_valuation_tree,
+    check_valuation_size,
     full_tree_witness,
     level_nodes,
     paused_gc,
     seeded_witness,
     tree_to_dot,
 )
-from .valuation import count_level_nodes, count_tree_nodes, signature_from_language
+from .valuation import count_level_nodes, signature_from_language
 
 
 def _cap(flag: int | None) -> int:
@@ -91,17 +92,14 @@ def cmd_val(args) -> str:
         sig = bio.parse_signature(args.sigma)
         levels = tuple(int(l) for l in args.levels.split(",")) if args.levels else None
         check_natural(args.height, "height")
-        if levels is None:
-            # The tree spans all --height coordinates: refuse before building
-            # them.  A --levels list is checked by the witness, and its errors
-            # come first.
-            check_size(count_tree_nodes(sig, 0, args.height), args.cap,
-                       "valuation tree construction")
+        # The tree spans all --height coordinates: refuse before building
+        # them.  build_valuation_tree checks again, as it does for every
+        # caller; the estimate takes microseconds.
+        check_valuation_size(sig, args.height, args.cap)
         if args.full:
             witness = full_tree_witness(sig, args.height, args.height)
         else:
-            seed = 0 if args.seed is None else args.seed
-            witness = seeded_witness(sig, args.height, args.height, seed, levels)
+            witness = seeded_witness(sig, args.height, args.height, args.seed, levels)
     tree = build_valuation_tree(witness, cap=args.cap)
     if args.dot or args.output == "dot":
         return tree_to_dot(tree)
@@ -213,7 +211,7 @@ def cmd_hl(args) -> str:
 
 def cmd_hl_witness(args) -> str:
     _check_naturals(args)
-    subtree = adv.random_omega_subtree(0 if args.seed is None else args.seed, height=args.height)
+    subtree = adv.random_omega_subtree(args.seed, height=args.height)
     node = adv.seq_colour_witness(subtree, args.colour)
     return bio.dumps_canonical({"root": list(subtree.root),
                                 "levels": list(subtree.levels),
@@ -321,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         if cap:
             s.add_argument("--cap", type=int, default=None, help="node-count cap")
         if seed:
-            # None tells a given --seed 0 from none; the commands read it as 0.
+            # None tells a given --seed 0 from none to the mode check; main
+            # then reads it as 0.
             s.add_argument("--seed", type=int, default=None, help="deterministic seed")
         if output:
             s.add_argument("--output", choices=["json", *output], default="json")
@@ -411,6 +410,8 @@ def main(argv=None) -> int:
     try:
         if "cap" in vars(args):
             args.cap = _cap(args.cap)
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = 0
         with paused_gc():
             out = args.func(args)
     except InfeasibleError as exc:

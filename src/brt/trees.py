@@ -342,6 +342,12 @@ class ValuationTree:
         return self.nodes_by_level[0][0]
 
 
+def check_valuation_size(sig: Signature, dimension: int, cap: int) -> None:
+    """Refuse a valuation tree of ``dimension`` coordinates past the cap.
+    The estimate needs no witness, so a caller can refuse before building one."""
+    check_size(count_tree_nodes(sig, 0, dimension), cap, "valuation tree construction")
+
+
 def build_valuation_tree(witness: StrongSubtreeWitness, cap: int = DEFAULT_CAP
                          ) -> ValuationTree:
     """The valuation tree of the witness, over all of its coordinates.
@@ -353,7 +359,7 @@ def build_valuation_tree(witness: StrongSubtreeWitness, cap: int = DEFAULT_CAP
     k = witness.dimension
     if witness.height < k:
         raise ValueError("witness height below its dimension")
-    check_size(count_tree_nodes(witness.sig, 0, k), cap, "valuation tree construction")
+    check_valuation_size(witness.sig, k, cap)
     inner: list[dict] = []
     for i in reversed(range(k)):
         coord = witness.coords[i]

@@ -119,22 +119,15 @@ class ValuationFunction:
         """
         if not xbar:
             return self
-        if len(xbar) == 1:
-            # The cascade's cut: one coordinate, nothing to order.
-            x = xbar[0]
-            if not 0 <= x < self.level:
-                raise ValueError(f"slice tuple {xbar} out of range")
-            kept = [(t[1:], v) for t, v in self.values if len(t) > 1 and t[0] == x]
-            return _derived(self.sig, self.shift + 1, x, tuple(kept))
-        if any(xbar[i] <= xbar[i + 1] for i in range(len(xbar) - 1)):
+        m = len(xbar)
+        if m > 1 and any(a <= b for a, b in zip(xbar, xbar[1:])):
             raise ValueError(f"slice tuple {xbar} is not strictly decreasing")
         if not (0 <= xbar[-1] and xbar[0] < self.level):
             raise ValueError(f"slice tuple {xbar} out of range")
-        m = len(xbar)
         # Stripping the shared prefix keeps the (length, lex) order, and the
         # bound of a tuple of length L at shift s is that of its tail at s + m.
-        kept = tuple((t[m:], v) for t, v in self.values if len(t) > m and t[:m] == xbar)
-        return _derived(self.sig, self.shift + m, xbar[-1], kept)
+        kept = [(t[m:], v) for t, v in self.values if t[:m] == xbar and len(t) > m]
+        return _derived(self.sig, self.shift + m, xbar[-1], tuple(kept))
 
     def first_branch_level(self) -> int | None:
         """Lowest leading coordinate carrying a nonzero entry (None if zero)."""
@@ -188,7 +181,7 @@ def _meet_level(f: ValuationFunction, g: ValuationFunction) -> int:
     of an entry the two nodes do not share, whichever is less."""
     if (f.sig, f.shift) != (g.sig, g.shift):
         raise ValueError("meet requires nodes of the same tree")
-    if f.values == g.values:
+    if f.values == g.values:   # common among a stage's nodes; spares two set builds
         return min(f.level, g.level)
     return min(f.level, g.level, *(t[0] for t, _ in set(f.values) ^ set(g.values)))
 

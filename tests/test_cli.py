@@ -702,10 +702,12 @@ def test_tree_like_prefix_at_the_cap_runs(capsys, argv, cap):
     assert (code, out) == (2, "")
 
 
-@pytest.mark.parametrize("mode", [(), ("--full",)], ids=["seeded", "full"])
+@pytest.mark.parametrize("mode", [(), ("--full",), ("--levels", "0,1")],
+                         ids=["seeded", "full", "levels"])
 def test_val_refuses_a_tree_past_the_cap_before_building_its_witness(capsys, mode):
     """A million coordinates used to be built first, for 9 s; a negative
-    height is still an input error, checked before the size."""
+    height is still an input error, checked before the size.  A level list
+    is checked by the witness, after the size."""
     start = time.perf_counter()
     code, out, err = run(capsys, "val", "--sigma", "3:5", "--height", "1000000", *mode,
                          "--cap", "10")
