@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -971,3 +972,65 @@ def test_repeat_invocations_byte_identical(files, capsys):
     second = [run(capsys, *argv) for argv in matrix]
     assert [code for code, _, _ in first] == [0] * (len(matrix) - 1) + [1]
     assert first == second
+
+
+def _cli_inputs() -> dict:
+    """The input files of the golden matrix and the fuzz test, by name: an
+    object is written as canonical JSON, a string as it is."""
+    graph, directed, ternary = graph_language(), make_language(("E", 2)), make_language(("T", 3))
+    tl = tree_language(Signature((3,)))
+    path3 = _structure_blob()
+    dir3 = make_structure(directed, 3, {"E": [(0, 1), (1, 0), (2, 1)]})
+    ter = bio.structure_to_json(make_structure(ternary, 3, {"T": [(0, 1, 2), (2, 1, 0)]}))
+    prefix4 = make_structure(graph, 4, {"e": [(0, 1), (2, 3)]}, hypergraph=True)
+    reversed_edge = {**bio.structure_to_json(make_structure(graph, 2, {})),
+                     "relations": {"e": [[1, 0]]}}
+    inputs = {
+        "graph_lang.json": bio.language_to_json(graph),
+        "directed_lang.json": bio.language_to_json(directed),
+        "path3.json": path3,
+        "edge.json": bio.structure_to_json(make_structure(tl, 2, {"r2c1": [(0, 1)]},
+                                                          hypergraph=True)),
+        "point.json": bio.structure_to_json(make_structure(tl, 1, {}, hypergraph=True)),
+        "directed.json": bio.structure_to_json(dir3),
+        "encoded.json": bio.structure_to_json(naive_encode_structure(dir3)),
+        "ternary.json": ter,
+        "family.json": [ter],
+        "witness.json": _witness_blob(),
+        "seeded_witness.json": bio.witness_to_json(seeded_witness(Signature((3,)), 2, 2, 3)),
+        "negative_witness.json": {"sigma": {"prefix": [3]}, "levels": [-1, 0], "coords": []},
+        "map.json": {"prefix": bio.structure_to_json(prefix4), "pairs": [[0, 1], [1, 2], [2, 3]]},
+        "truncated.json": bio.dumps_canonical(path3)[:40],
+        "list.json": "[1, 2]",
+        "no_size.json": {k: v for k, v in path3.items() if k != "size"},
+        "out_of_range.json": {**path3, "relations": {"e": [[0, 5]]}},
+    }
+    for name, flag in (("true", True), ("false", False), ("false_string", "false"),
+                       ("zero", 0), ("null", None)):
+        inputs[f"hypergraph_{name}.json"] = {**reversed_edge, "hypergraph": flag}
+    return inputs
+
+
+def _write_inputs(directory: Path) -> None:
+    for name, blob in _cli_inputs().items():
+        (directory / name).write_text(blob if isinstance(blob, str) else
+                                      bio.dumps_canonical(blob))
+
+
+def _digest(code: int, out: str, err: str) -> str:
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
+def test_cli_bytes_match_the_golden_digests(tmp_path, capsys, monkeypatch):
+    """Each argv of ``cli_golden.json`` prints the exit code, stdout and
+    stderr whose SHA-256 the file records.  The argv name their inputs
+    relative to the directory they run in, so no temporary path reaches a
+    digest, and COLUMNS fixes the width argparse wraps usage lines at.  A
+    change that means to alter some bytes updates those entries."""
+    _write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("BRT_CAP", raising=False)
+    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+    got = {line: _digest(*run(capsys, *shlex.split(line))) for line in golden}
+    assert {line: d for line, d in got.items() if d != golden[line]} == {}
