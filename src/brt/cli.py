@@ -84,24 +84,25 @@ def cmd_tree(args) -> str:
 
 
 def cmd_val(args) -> str:
-    if args.witness:
+    if args.witness is not None:
         witness = bio.witness_from_json(_load(args.witness))
     else:
         if not args.sigma or args.height is None:
             raise ValueError("val needs --witness or both --sigma and --height")
         sig = bio.parse_signature(args.sigma)
         levels = tuple(int(l) for l in args.levels.split(",")) if args.levels else None
-        check_natural(args.height, "height")
         # The tree spans all --height coordinates: refuse before building
         # them.  build_valuation_tree checks again, as it does for every
         # caller; the estimate takes microseconds.
         check_valuation_size(sig, args.height, args.cap)
+        if levels is not None and len(levels) > args.height:
+            raise ValueError(f"--levels has {len(levels)} levels, more than --height {args.height}")
         if args.full:
             witness = full_tree_witness(sig, args.height, args.height)
         else:
             witness = seeded_witness(sig, args.height, args.height, args.seed, levels)
     tree = build_valuation_tree(witness, cap=args.cap)
-    if args.dot or args.output == "dot":
+    if args.dot:
         return tree_to_dot(tree)
     return bio.dumps_with_nodes({"levels": list(tree.levels),
                                  "height": tree.height,
@@ -139,7 +140,7 @@ def cmd_envelope(args) -> str:
                   for st in env.stages],
         "tree_nodes": env.tree_nodes,
     }
-    if (args.dot or args.output == "dot") and env.tree is not None:
+    if args.dot and env.tree is not None:
         return tree_to_dot(env.tree, "envelope")
     return bio.dumps_with_nodes(report)
 
@@ -169,8 +170,6 @@ def cmd_decode(args) -> str:
 def cmd_unaries(args) -> str:
     if args.countable == (args.count is not None):
         raise ValueError("unaries needs exactly one of --count and --countable")
-    if args.count is not None:
-        check_natural(args.count, "--count")
     base = _structure(args.infile)
     u = None if args.countable else args.count
     product = unary_expand(base, u, size_cap=args.cap)
@@ -197,20 +196,11 @@ def _parse_node(text: str) -> tuple[int, ...]:
     return node
 
 
-def _check_naturals(args) -> None:
-    """Reject a negative count among the options the command declares."""
-    for option in ("colour", "height", "prefix_size", "colours", "bound", "identity", "radial"):
-        value = vars(args).get(option)
-        if value is not None:
-            check_natural(value, f"--{option.replace('_', '-')}")
-
-
 def cmd_hl(args) -> str:
     return bio.dumps_canonical({"colour": adv.seq_colour(_parse_node(args.node))})
 
 
 def cmd_hl_witness(args) -> str:
-    _check_naturals(args)
     subtree = adv.random_omega_subtree(args.seed, height=args.height)
     node = adv.seq_colour_witness(subtree, args.colour)
     return bio.dumps_canonical({"root": list(subtree.root),
@@ -220,7 +210,6 @@ def cmd_hl_witness(args) -> str:
 
 
 def cmd_inf(args) -> str:
-    _check_naturals(args)
     ctx = adv.PersistentColouringContext.fresh()
     while ctx.size < args.prefix_size:
         ctx = _grown(ctx, adv.GrowPrefix(adv._plain_vertex_requests(1)), args.cap)
@@ -237,7 +226,6 @@ def cmd_inf(args) -> str:
 
 
 def cmd_tree_like(args) -> str:
-    _check_naturals(args)
     if args.identity is not None or args.radial is not None:
         # Refuse a prefix past the cap before building its requests.
         size = args.identity if args.identity is not None else 2 * args.radial + 1
@@ -279,7 +267,7 @@ def radial_example(m: int):
 
 class _Parser(argparse.ArgumentParser):
     # A leaf's modes: the option that selects each mode, and the options the
-    # mode does not read.
+    # mode does not read; an option is given when set away from its default.
     modes: dict[str, tuple[str, ...]] = {}
 
     def parse_known_args(self, args=None, namespace=None):
@@ -290,7 +278,7 @@ class _Parser(argparse.ArgumentParser):
             if extras:
                 self.error(f"unrecognized arguments: {' '.join(extras)}")
             for mode, unread in self.modes.items():
-                if getattr(namespace, mode):
+                if getattr(namespace, mode) != self.get_default(mode):
                     for dest in unread:
                         if getattr(namespace, dest) != self.get_default(dest):
                             self.error(f"{_flag(mode)} does not read {_flag(dest)}")
@@ -314,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Exact option names only: a prefix would let an option the command does
     # not read stand for one it does (``inf --colour`` for ``--colours``).
-    def leaf(parent, name, func, help, cap=False, seed=False, output=()):
+    # ``naturals``: the integer options that main checks are not negative.
+    def leaf(parent, name, func, help, cap=False, seed=False, table=False, dot=False,
+             naturals=()):
         s = parent.add_parser(name, help=help, allow_abbrev=False)
         if cap:
             s.add_argument("--cap", type=int, default=None, help="node-count cap")
@@ -322,25 +312,24 @@ def build_parser() -> argparse.ArgumentParser:
             # None tells a given --seed 0 from none to the mode check; main
             # then reads it as 0.
             s.add_argument("--seed", type=int, default=None, help="deterministic seed")
-        if output:
-            s.add_argument("--output", choices=["json", *output], default="json")
-        if "dot" in output:
-            s.add_argument("--dot", action="store_true", help="shorthand for --output dot")
-        s.set_defaults(func=func)
+        if table:
+            s.add_argument("--output", choices=["json", "table"], default="json")
+        if dot:
+            s.add_argument("--dot", action="store_true", help="print the tree in DOT")
+        s.set_defaults(func=func, naturals=naturals)
         return s
 
     s = leaf(sub, "sig", cmd_sig, "signature of a language")
     s.add_argument("--lang", required=True)
 
-    s = leaf(sub, "tree", cmd_tree, "nodes of one tree level", cap=True, output=("table",))
+    s = leaf(sub, "tree", cmd_tree, "nodes of one tree level", cap=True, table=True)
     s.modes = {"count_only": ("cap", "output")}
     s.add_argument("--sigma", required=True)
     s.add_argument("--shift", type=int, default=0)
     s.add_argument("--level", type=int, required=True)
     s.add_argument("--count-only", action="store_true")
 
-    s = leaf(sub, "val", cmd_val, "valuation tree of a witness", cap=True, seed=True,
-             output=("dot",))
+    s = leaf(sub, "val", cmd_val, "valuation tree of a witness", cap=True, seed=True, dot=True)
     s.modes = {"witness": ("sigma", "height", "seed", "full", "levels"),
                "full": ("seed", "levels")}
     s.add_argument("--sigma")
@@ -349,17 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--full", action="store_true")
     s.add_argument("--witness", default=None)
 
-    s = leaf(sub, "embed", cmd_embed, "enumerate embeddings A -> B", output=("table",))
+    s = leaf(sub, "embed", cmd_embed, "enumerate embeddings A -> B", table=True)
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
 
-    s = leaf(sub, "envelope", cmd_envelope, "envelope of an image subset", output=("dot",))
+    s = leaf(sub, "envelope", cmd_envelope, "envelope of an image subset", dot=True)
     s.add_argument("--prefix", required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--subset", required=True)
 
-    s = leaf(sub, "degree", cmd_degree, "copy-count bound at a height", cap=True,
-             output=("table",))
+    s = leaf(sub, "degree", cmd_degree, "copy-count bound at a height", cap=True, table=True)
     s.add_argument("--a", required=True)
     s.add_argument("--height", type=int, required=True)
     s.add_argument("--sigma", default=None)
@@ -371,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = leaf(reduce, "decode", cmd_decode, "structure of an encoded hypergraph")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--language", default=None)
-    s = leaf(reduce, "unaries", cmd_unaries, "product with unary colours", cap=True)
+    s = leaf(reduce, "unaries", cmd_unaries, "product with unary colours", cap=True,
+             naturals=("count",))
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--count", type=int, default=None)
     s.add_argument("--countable", action="store_true")
@@ -384,14 +373,17 @@ def build_parser() -> argparse.ArgumentParser:
     s = leaf(adversarial, "hl", cmd_hl, "colour of a node")
     s.add_argument("--node", default="")
     s = leaf(adversarial, "hl-witness", cmd_hl_witness,
-             "a node of a given colour in a random subtree", seed=True)
+             "a node of a given colour in a random subtree", seed=True,
+             naturals=("colour", "height"))
     s.add_argument("--colour", type=int, default=0)
     s.add_argument("--height", type=int, default=4)
-    s = leaf(adversarial, "inf", cmd_inf, "persistent triples of each colour", cap=True)
+    s = leaf(adversarial, "inf", cmd_inf, "persistent triples of each colour", cap=True,
+             naturals=("prefix_size", "colours"))
     s.add_argument("--prefix-size", type=int, default=2)
     s.add_argument("--colours", type=int, default=5)
     s = leaf(adversarial, "tree-like", cmd_tree_like, "tree-likeness of embedding data",
-             cap=True)
+             cap=True, naturals=("bound", "identity", "radial"))
+    s.modes = {"identity": ("radial", "map"), "radial": ("map",)}
     s.add_argument("--bound", type=int, default=3)
     s.add_argument("--identity", type=int, default=None)
     s.add_argument("--radial", type=int, default=None)
@@ -412,6 +404,9 @@ def main(argv=None) -> int:
             args.cap = _cap(args.cap)
         if "seed" in vars(args) and args.seed is None:
             args.seed = 0
+        for dest in args.naturals:
+            if getattr(args, dest) is not None:
+                check_natural(getattr(args, dest), _flag(dest))
         with paused_gc():
             out = args.func(args)
     except InfeasibleError as exc:

@@ -15,7 +15,7 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string", bool: "a boolean"}
 
 
 def _typed(x, kind: type, what: str):
@@ -77,7 +77,7 @@ def structure_from_json(obj: dict) -> EnumeratedStructure:
     rels = {name: [_ints(t, "a relation tuple") for t in _typed(tuples, list, "relations")]
             for name, tuples in _typed(obj.get("relations", {}), dict, "relations").items()}
     return make_structure(lang, _typed(_key(obj, "size", "a structure"), int, "size"), rels,
-                          hypergraph=bool(obj.get("hypergraph", False)))
+                          hypergraph=_typed(obj.get("hypergraph", False), bool, "hypergraph"))
 
 
 def signature_to_json(sig: Signature) -> dict:

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import check_size
+from .errors import check_natural, check_size
 from .structures import (
     EnumeratedStructure,
     RelationalLanguage,
@@ -256,6 +256,8 @@ class StrongSubtreeWitness:
     def __post_init__(self):
         if list(self.levels) != sorted(set(self.levels)):
             raise ValueError("levels must be strictly increasing")
+        if self.levels:
+            check_natural(self.levels[0], "a witness level")
         for i, c in enumerate(self.coords):
             if c.root is None:
                 continue

@@ -1,8 +1,10 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
 import argparse
+import contextlib
 import gc
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -11,6 +13,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brt import cli, envelopes
 from brt import io as bio
@@ -239,9 +243,8 @@ def test_envelope_json_and_dot_on_every_subset(tmp_path, capsys, envelope_tree_b
             built.clear()
             assert run(capsys, *argv) == (0, want_json, "")
             assert built == []
-            assert run(capsys, *argv, "--output", "dot") == (0, want_dot, "")
             assert run(capsys, *argv, "--dot") == (0, want_dot, "")
-            assert len(built) == 2
+            assert len(built) == 1
 
 
 def test_envelope_dot_above_the_cap_prints_the_json_report(tmp_path, capsys, monkeypatch):
@@ -310,14 +313,14 @@ def test_an_option_before_the_subcommand_exits_one_with_usage(capsys, argv):
 
 
 # Each leaf command and the options it declares; the option each reads, and
-# no other.  ``--output`` takes json and the listed format.
+# no other.  ``--output`` takes json and table; ``--dot`` alone selects DOT.
 LEAF_OPTIONS = {
     ("sig",): ["--lang"],
     ("tree",): ["--cap", "--output", "--sigma", "--shift", "--level", "--count-only"],
-    ("val",): ["--cap", "--seed", "--output", "--dot", "--sigma", "--height", "--levels",
-               "--full", "--witness"],
+    ("val",): ["--cap", "--seed", "--dot", "--sigma", "--height", "--levels", "--full",
+               "--witness"],
     ("embed",): ["--output", "--a", "--b"],
-    ("envelope",): ["--output", "--dot", "--prefix", "--k", "--subset"],
+    ("envelope",): ["--dot", "--prefix", "--k", "--subset"],
     ("degree",): ["--cap", "--output", "--a", "--height", "--sigma"],
     ("reduce", "encode"): ["--in"],
     ("reduce", "decode"): ["--in", "--language"],
@@ -328,8 +331,7 @@ LEAF_OPTIONS = {
     ("adversarial", "inf"): ["--cap", "--prefix-size", "--colours"],
     ("adversarial", "tree-like"): ["--cap", "--bound", "--identity", "--radial", "--map"],
 }
-OUTPUT_FORMATS = {("tree",): "table", ("val",): "dot", ("embed",): "table",
-                  ("envelope",): "dot", ("degree",): "table"}
+TABLE_LEAVES = [("tree",), ("embed",), ("degree",)]
 
 
 def _leaf_parsers(parser=cli.PARSER, path=()):
@@ -349,8 +351,8 @@ def test_each_leaf_declares_the_options_it_reads():
         got[path] = [a.option_strings[0] for a in options]
         formats.update((path, a.choices) for a in options if a.dest == "output")
     assert got == LEAF_OPTIONS
-    assert sum(map(len, got.values())) == 50
-    assert formats == {path: ["json", fmt] for path, fmt in OUTPUT_FORMATS.items()}
+    assert sum(map(len, got.values())) == 48
+    assert formats == {path: ["json", "table"] for path in TABLE_LEAVES}
 
 
 @pytest.mark.parametrize("leaf", LEAF_OPTIONS, ids=" ".join)
@@ -369,7 +371,7 @@ def test_help_on_each_leaf_exits_zero(capsys, leaf):
     (("tree", "--sigma", "3", "--level", "1", "--seed", "3"),
      "brt: error: unrecognized arguments: --seed 3"),
     (("val", "--sigma", "3", "--height", "2", "--output", "table"),
-     "brt val: error: argument --output: invalid choice: 'table'"),
+     "brt: error: unrecognized arguments: --output table"),
     (("embed", "--a", "EDGE", "--b", "EDGE", "--cap", "5"),
      "brt: error: unrecognized arguments: --cap 5"),
     (("embed", "--a", "EDGE", "--b", "EDGE", "--seed", "1"),
@@ -377,7 +379,7 @@ def test_help_on_each_leaf_exits_zero(capsys, leaf):
     (("embed", "--a", "EDGE", "--b", "EDGE", "--output", "dot"),
      "brt embed: error: argument --output: invalid choice: 'dot'"),
     (("envelope", "--k", "2", "--subset", "0,1", "--prefix", "PATH3", "--output", "table"),
-     "brt envelope: error: argument --output: invalid choice: 'table'"),
+     "brt: error: unrecognized arguments: --output table"),
     (("envelope", "--k", "2", "--subset", "0,1", "--prefix", "PATH3", "--cap", "5"),
      "brt: error: unrecognized arguments: --cap 5"),
     (("degree", "--a", "EDGE", "--height", "3", "--dot"),
@@ -420,12 +422,31 @@ def test_help_on_each_leaf_exits_zero(capsys, leaf):
     (("val", "--witness", "EDGE", "--full"), "brt: error: --witness does not read --full"),
     (("val", "--witness", "EDGE", "--levels", "0,1"),
      "brt: error: --witness does not read --levels"),
+    (("val", "--sigma", "3", "--height", "2", "--output", "dot"),
+     "brt: error: unrecognized arguments: --output dot"),
+    (("val", "--sigma", "3", "--height", "2", "--dot", "--output", "json"),
+     "brt: error: unrecognized arguments: --output json"),
+    (("envelope", "--k", "2", "--subset", "0,1", "--prefix", "PATH3", "--output", "dot"),
+     "brt: error: unrecognized arguments: --output dot"),
+    (("val", "--witness", "", "--sigma", "3", "--height", "2"),
+     "brt: error: --witness does not read --sigma"),
+    (("adversarial", "tree-like", "--identity", "4", "--radial", "3"),
+     "brt: error: --identity does not read --radial"),
+    (("adversarial", "tree-like", "--identity", "0", "--radial", "0"),
+     "brt: error: --identity does not read --radial"),
+    (("adversarial", "tree-like", "--identity", "2", "--map", "EDGE"),
+     "brt: error: --identity does not read --map"),
+    (("adversarial", "tree-like", "--radial", "2", "--map", "EDGE"),
+     "brt: error: --radial does not read --map"),
 ])
 def test_an_option_the_command_does_not_read_exits_one_with_usage(files, capsys, argv, error):
-    """Each used to exit 0, the option ignored; ``--output`` takes only the
-    formats its command prints, and no option name is read as a prefix of
-    another (``inf --colour`` is not ``--colours``).  ``val --dim`` is gone:
-    the tree always spans ``--height`` coordinates.
+    """Each used to exit 0, the option ignored; ``--output`` is declared only
+    where a table can be printed, ``--dot`` is the one DOT switch, and no
+    option name is read as a prefix of another (``inf --colour`` is not
+    ``--colours``).  ``val --dim`` is gone: the tree always spans
+    ``--height`` coordinates.  A mode is chosen when its option is set away
+    from its default, so ``--witness ""`` and ``--identity 0`` count, and
+    ``tree-like`` takes one source.
 
     The leaf's own parser reports each error, under its own name in the
     usage and error lines; the rows that spell the program ``brt:`` keep the
@@ -464,15 +485,6 @@ def test_readme_cli_examples_parse():
     shown = {tuple(argv[:2]) if argv[0] in ("reduce", "adversarial") else tuple(argv[:1])
              for argv in examples}
     assert shown == set(LEAF_OPTIONS)
-
-
-@pytest.mark.parametrize("flags", [("--dot", "--output", "json"),
-                                   ("--output", "json", "--dot")])
-def test_dot_beats_output_in_either_order(capsys, flags):
-    argv = ("val", "--sigma", "3", "--height", "3", "--seed", "12")
-    want = run(capsys, *argv, "--output", "dot")
-    assert want[0] == 0 and want[1].startswith("digraph")
-    assert run(capsys, *argv, *flags) == want
 
 
 def test_zero_cap_exits_one(files, capsys, monkeypatch):
@@ -721,6 +733,24 @@ def test_val_refuses_a_tree_past_the_cap_before_building_its_witness(capsys, mod
         1, "", "brt: error: height must be a natural number, got -1\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--sigma", "3", "--height", "3", "--levels=-1,0,1"),
+     "a witness level must be a natural number, got -1"),
+    (("--witness", "NEGATIVE"), "a witness level must be a natural number, got -1"),
+    (("--sigma", "3", "--height", "2", "--levels", "5,9,20"),
+     "--levels has 3 levels, more than --height 2"),
+    (("--witness", ""), "[Errno 2] No such file or directory: ''"),
+])
+def test_val_refuses_levels_no_witness_can_have(tmp_path, capsys, argv, message):
+    """A negative level used to print a root at level -1, a longer level list
+    lost its tail, and ``--witness ""`` read as no witness."""
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps({"sigma": {"prefix": [3]}, "levels": [-1, 0],
+                             "coords": [{"root": {"level": -1, "values": []}}]}))
+    _one_line_error(*run(capsys, "val", *(str(p) if a == "NEGATIVE" else a for a in argv)),
+                    message)
+
+
 def test_degree_at_height_12_is_quick(files, capsys):
     """GRAPH height 12 holds 265,720 nodes: the count reads level profiles
     and builds none of them."""
@@ -893,6 +923,7 @@ def test_reduce_strip(tmp_path, capsys):
     (("decode",), "decode needs --language"),
     (("strip",), "strip needs --forbidden"),
     (("unaries", "--count", "-1"), "--count must be a natural number, got -1"),
+    (("unaries", "--count", "-1", "--countable"), "--count must be a natural number, got -1"),
 ])
 def test_reduce_bad_input_exits_one(files, capsys, argv, message):
     """Each used to raise a traceback (no ``--language`` or ``--forbidden``)
@@ -1034,3 +1065,75 @@ def test_cli_bytes_match_the_golden_digests(tmp_path, capsys, monkeypatch):
     golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
     got = {line: _digest(*run(capsys, *shlex.split(line))) for line in golden}
     assert {line: d for line, d in got.items() if d != golden[line]} == {}
+
+
+# Boundary values of each kind of option value, for the fuzz test.
+_COUNTS = ["0", "-1", "1", "3", "x", ""]
+_SIGNATURES = ["3", "2,3", "1:3", "0", ""]
+_LISTS = ["0,1", "1,0", "-1", ""]
+_LIST_OPTIONS = {"levels", "subset", "node"}
+_FUZZ_FILES = ["path3.json", "graph_lang.json", "witness.json", "map.json", "truncated.json",
+               "list.json", "no_size.json", "out_of_range.json", ""]
+
+
+def _fuzz_values(action, directory: Path) -> list[str]:
+    if action.choices:
+        return [*action.choices, "dot"]
+    if action.type is int:
+        return _COUNTS
+    if action.dest == "sigma":
+        return _SIGNATURES
+    if action.dest in _LIST_OPTIONS:
+        return _LISTS
+    return [str(directory / name) if name else "" for name in _FUZZ_FILES]
+
+
+@st.composite
+def _fuzz_argv(draw, directory: Path):
+    """A leaf's words, then each required option and a drawn subset of the
+    others, every value given as ``--option=value``."""
+    path, parser = draw(st.sampled_from(list(_leaf_parsers())))
+    argv = list(path)
+    for action in parser._actions:
+        if not action.option_strings or isinstance(action, argparse._HelpAction):
+            continue
+        if not action.required and not draw(st.booleans()):
+            continue
+        flag = action.option_strings[0]
+        argv.append(flag if action.nargs == 0 else
+                    f"{flag}={draw(st.sampled_from(_fuzz_values(action, directory)))}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    _write_inputs(directory)
+    return directory
+
+
+def test_main_fails_cleanly_on_fuzzed_argv(fuzz_dir):
+    """Every leaf, fed boundary values and broken files, exits 0, 1 or 2
+    without a traceback: silent on success, one ``: error: `` line last on
+    stderr for an input error, one canonical JSON line for an infeasible
+    one."""
+
+    @given(_fuzz_argv(fuzz_dir))
+    @settings(max_examples=300, deadline=None, database=None)
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in out + err, argv
+        if code == 0:
+            assert err == "", argv
+        elif code == 1:
+            lines = err.splitlines()
+            assert [line for line in lines if ": error: " in line] == lines[-1:], (argv, err)
+            assert err.endswith("\n") and out == "", argv
+        else:
+            assert out == "" and err == bio.dumps_canonical(json.loads(err)), (argv, err)
+
+    check()

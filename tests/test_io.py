@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brt.io import _ints, dumps_canonical, dumps_with_nodes, nodes_json, valuation_to_json
+from brt.io import (
+    _ints,
+    dumps_canonical,
+    dumps_with_nodes,
+    nodes_json,
+    structure_from_json,
+    structure_to_json,
+    valuation_to_json,
+)
+from brt.structures import graph_language, make_structure
 from brt.valuation import make_valuation
 
 from conftest import DEEP_SIG, TEST_SIGS, brute_level_nodes, sparse_with_upper
@@ -68,3 +77,16 @@ def test_ints_reads_an_integer_list_whole_and_names_any_other_entry():
         assert str(err.value) == f"a tuple must be an integer, got {shown}"
     with pytest.raises(ValueError, match='^levels must be a list, got "0,1"$'):
         _ints("0,1", "levels")
+
+
+@pytest.mark.parametrize("flag,shown", [("false", '"false"'), (0, "0"), (None, "null")])
+def test_a_hypergraph_flag_must_be_a_boolean(flag, shown):
+    """``bool("false")`` used to read as true, so a directed edge was taken
+    for a sorted hypergraph tuple; a missing flag still means false."""
+    obj = structure_to_json(make_structure(graph_language(), 2, {"e": [(1, 0)]}))
+    assert structure_from_json(obj).hypergraph is False
+    with pytest.raises(ValueError) as err:
+        structure_from_json({**obj, "hypergraph": flag})
+    assert str(err.value) == f"hypergraph must be a boolean, got {shown}"
+    del obj["hypergraph"]
+    assert structure_from_json(obj).hypergraph is False
