@@ -1105,20 +1105,14 @@ def _fuzz_argv(draw, directory: Path):
     return argv
 
 
-@pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("fuzz")
-    _write_inputs(directory)
-    return directory
-
-
-def test_main_fails_cleanly_on_fuzzed_argv(fuzz_dir):
+def test_main_fails_cleanly_on_fuzzed_argv(tmp_path):
     """Every leaf, fed boundary values and broken files, exits 0, 1 or 2
     without a traceback: silent on success, one ``: error: `` line last on
     stderr for an input error, one canonical JSON line for an infeasible
     one."""
+    _write_inputs(tmp_path)
 
-    @given(_fuzz_argv(fuzz_dir))
+    @given(_fuzz_argv(tmp_path))
     @settings(max_examples=300, deadline=None, database=None)
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
