@@ -165,10 +165,7 @@ class PersistentColouringContext:
         return tuple(self.colour_between(i, v) for i in range(stop))
 
     def grown(self, grow: GrowPrefix) -> "PersistentColouringContext":
-        prefix = self.prefix
-        for req in grow.requests:
-            prefix = prefix.realize(req)
-        return PersistentColouringContext(prefix)
+        return PersistentColouringContext(self.prefix.realize(*grow.requests))
 
 
 def triple_colour_formula(s: tuple[int, ...], n: int) -> int:
@@ -197,10 +194,6 @@ def triple_colour(ctx: PersistentColouringContext, copy) -> int:
     return triple_colour_formula(s, n=a)
 
 
-def _plain_vertex_requests(count: int) -> tuple[ExtensionRequest, ...]:
-    return tuple(ExtensionRequest((), ()) for _ in range(count))
-
-
 def triple_witness(ctx: PersistentColouringContext, p: int,
                    f: dict[int, int] | None = None):
     """Find a relation-free triple inside the embedding's range whose colour
@@ -217,7 +210,7 @@ def triple_witness(ctx: PersistentColouringContext, p: int,
     dom = sorted(f)
     if len(dom) < 2:
         if identity:
-            return GrowPrefix(_plain_vertex_requests(2 - len(dom)))
+            return GrowPrefix((ExtensionRequest((), ()),) * (2 - len(dom)))
         raise ValueError("embedding data too small")
     r0, r1 = dom[0], dom[1]
     w0 = seq_weight(ctx.passing_sequence(f[r1], upto=f[r0]))
@@ -225,7 +218,7 @@ def triple_witness(ctx: PersistentColouringContext, p: int,
     r2 = next((v for v in dom if v > r1 and f[v] > w0), None)
     if r2 is None:
         if identity:
-            return GrowPrefix(_plain_vertex_requests(w0 + 2))
+            return GrowPrefix((ExtensionRequest((), ()),) * (w0 + 2))
         raise ValueError("no vertex deep enough in the embedding data")
     n = f[r2]
 

@@ -87,10 +87,12 @@ def cmd_val(args) -> str:
     if args.witness is not None:
         witness = bio.witness_from_json(_load(args.witness))
     else:
-        if not args.sigma or args.height is None:
+        if args.sigma is None or args.height is None:
             raise ValueError("val needs --witness or both --sigma and --height")
         sig = bio.parse_signature(args.sigma)
-        levels = tuple(int(l) for l in args.levels.split(",")) if args.levels else None
+        levels = None if args.levels is None else bio.parse_ints(args.levels, "--levels")
+        if levels == ():
+            raise ValueError("--levels needs at least one level")
         # The tree spans all --height coordinates: refuse before building
         # them.  build_valuation_tree checks again, as it does for every
         # caller; the estimate takes microseconds.
@@ -120,7 +122,7 @@ def cmd_embed(args) -> str:
 
 def cmd_envelope(args) -> str:
     structure = _structure(args.prefix)
-    subset = tuple(int(v) for v in args.subset.split(","))
+    subset = bio.parse_ints(args.subset, "--subset")
     emb = build_enveloping(structure, args.k)
     env = compute_envelope(emb, subset)
     report = {
@@ -147,7 +149,8 @@ def cmd_envelope(args) -> str:
 
 def cmd_degree(args) -> str:
     a = _structure(args.a)
-    sig = bio.parse_signature(args.sigma) if args.sigma else signature_from_language(a.language)
+    sig = (signature_from_language(a.language) if args.sigma is None
+           else bio.parse_signature(args.sigma))
     count = degree_upper_bound(a, args.height, sig, cap=args.cap)
     if args.output == "table":
         return f"{count}\n"
@@ -186,18 +189,11 @@ def cmd_strip(args) -> str:
     return bio.dumps_canonical(bio.structure_to_json(strip_bad(m, family)))
 
 
-def _parse_node(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    node = tuple(int(p) for p in text.split(","))
-    if any(v < 0 for v in node):
-        raise ValueError(f"--node entries must be natural numbers, got {text}")
-    return node
-
-
 def cmd_hl(args) -> str:
-    return bio.dumps_canonical({"colour": adv.seq_colour(_parse_node(args.node))})
+    node = bio.parse_ints(args.node, "--node")
+    if any(v < 0 for v in node):
+        raise ValueError(f"--node entries must be natural numbers, got {args.node.strip()}")
+    return bio.dumps_canonical({"colour": adv.seq_colour(node)})
 
 
 def cmd_hl_witness(args) -> str:
@@ -210,15 +206,16 @@ def cmd_hl_witness(args) -> str:
 
 
 def cmd_inf(args) -> str:
-    ctx = adv.PersistentColouringContext.fresh()
-    while ctx.size < args.prefix_size:
-        ctx = _grown(ctx, adv.GrowPrefix(adv._plain_vertex_requests(1)), args.cap)
+    check_size(args.prefix_size, args.cap, "adversarial inf prefix")
+    ctx = adv.PersistentColouringContext.fresh().grown(
+        adv.GrowPrefix((ExtensionRequest((), ()),) * args.prefix_size))
     copies = {}
     for p in range(args.colours + 1):
         while True:
             res = adv.triple_witness(ctx, p)
             if isinstance(res, adv.GrowPrefix):
-                ctx = _grown(ctx, res, args.cap)
+                check_size(ctx.size + len(res.requests), args.cap, "adversarial inf prefix")
+                ctx = ctx.grown(res)
                 continue
             copies[str(p)] = list(res)
             break
@@ -231,7 +228,7 @@ def cmd_tree_like(args) -> str:
         size = args.identity if args.identity is not None else 2 * args.radial + 1
         check_size(size, args.cap, "adversarial tree-like prefix")
         if args.identity is not None:
-            grow = adv.GrowPrefix(adv._plain_vertex_requests(args.identity))
+            grow = adv.GrowPrefix((ExtensionRequest((), ()),) * args.identity)
             fmap = {v: v for v in range(args.identity)}
         else:
             grow, fmap = radial_example(args.radial)
@@ -249,19 +246,13 @@ def cmd_tree_like(args) -> str:
         "checked": verdict.checked})
 
 
-def _grown(ctx, grow, cap: int):
-    """``ctx.grown(grow)``, or exit 2 first if the prefix would pass the cap."""
-    check_size(ctx.size + len(grow.requests), cap, "adversarial inf prefix")
-    return ctx.grown(grow)
-
-
 def radial_example(m: int):
     """Embedding data hostile to tree-likeness, as a prefix growth of
     ``2m + 1`` vertices and a map: ``m + 1`` plain vertices, then the i-th
     image vertex joined to vertex 0 by the i-th binary colour, so types over
     the initial segment pin images down completely."""
     radial = tuple(ExtensionRequest.of((0,), {(0,): i}) for i in range(1, m + 1))
-    grow = adv.GrowPrefix(adv._plain_vertex_requests(m + 1) + radial)
+    grow = adv.GrowPrefix((ExtensionRequest((), ()),) * (m + 1) + radial)
     return grow, {i: m + i for i in range(1, m + 1)}
 
 
@@ -409,18 +400,20 @@ def main(argv=None) -> int:
                 check_natural(getattr(args, dest), _flag(dest))
         with paused_gc():
             out = args.func(args)
+        # A full disk or a closed pipe fails here, as an OSError.
+        sys.stdout.write(out)
+        sys.stdout.flush()
     except InfeasibleError as exc:
         sys.stderr.write(bio.dumps_canonical(
             {"error": "infeasible", "what": exc.what,
              "cap": exc.cap, "estimate": exc.estimate}))
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"brt: error: {exc}\n")
         return 1
     except (RuntimeError, AssertionError) as exc:
         sys.stderr.write(f"brt: internal error: {exc}\n")
         return 3
-    sys.stdout.write(out)
     return 0
 
 

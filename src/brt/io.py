@@ -89,14 +89,22 @@ def signature_from_json(obj: dict) -> Signature:
                      _typed(obj.get("tail", 1), int, "tail"))
 
 
+def parse_ints(text: str, option: str) -> tuple[int, ...]:
+    """The integers of a comma-separated option value; blank is the empty
+    list, and an empty entry (``1,,2``, ``0,1,``) is no integer."""
+    try:
+        return tuple(int(p) for p in text.split(",")) if text.strip() else ()
+    except ValueError:
+        raise ValueError(f"{option} must be integers separated by commas, got {text}") from None
+
+
 def parse_signature(text: str) -> Signature:
-    """Parse ``"3"`` or ``"2,3"`` or ``"2,3:1"`` (prefix entries, colon tail)."""
+    """Parse ``--sigma``: ``"3"``, ``"2,3"`` or ``"2,3:1"`` (prefix entries, colon tail)."""
     tail = 1
     if ":" in text:
         text, tail_s = text.split(":", 1)
         tail = int(tail_s)
-    prefix = tuple(int(p) for p in text.split(",") if p.strip() != "")
-    return Signature(prefix, tail)
+    return Signature(parse_ints(text, "--sigma"), tail)
 
 
 def valuation_to_json(f: ValuationFunction) -> dict:

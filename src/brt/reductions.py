@@ -67,9 +67,8 @@ def unary_expand(base: EnumeratedStructure, u: int | None,
     check_size(len(pairs), size_cap, "unary product")
     index = {p: i for i, p in enumerate(pairs)}
     max_unary = max((i for _, i in pairs), default=-1)
-    lang = base.language
-    for i in range(max_unary + 1):
-        lang = lang.with_symbol(countable_symbol_name(1, i), 1)
+    lang = base.language.with_symbols(*((countable_symbol_name(1, i), 1)
+                                        for i in range(max_unary + 1)))
 
     rels: dict[str, list] = {}
     for i in range(max_unary + 1):

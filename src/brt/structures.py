@@ -101,19 +101,22 @@ class RelationalLanguage:
         present = {a for _, a in self.symbols} | set(self.countable_arities)
         return tuple(sorted(present))
 
-    def with_symbol(self, name: str, arity: int) -> "RelationalLanguage":
-        """This language plus one symbol, placed in the canonical order by
-        bisection; only the colours of the symbol's arity are recomputed."""
-        if name in self._place:
+    def with_symbols(self, *symbols: tuple[str, int]) -> "RelationalLanguage":
+        """This language plus each ``(name, arity)`` whose name is new, placed by
+        bisection; only the colours of the touched arities are recomputed."""
+        fresh: dict[str, int] = {}
+        for name, arity in symbols:
+            if name not in self._place:
+                fresh.setdefault(name, arity)
+        if not fresh:
             return self
-        if arity < 1:
+        if min(fresh.values()) < 1:
             raise ValueError("arities must be >= 1")
-        at = bisect_right(self.symbols, _symbol_key((name, arity)), key=_symbol_key)
-        symbols = self.symbols[:at] + ((name, arity),) + self.symbols[at:]
+        symbols = tuple(_placed(self.symbols, fresh.items(), _symbol_key))
         place = dict(self._place)
-        if arity in self.countable_arities:
-            place[name] = (arity, _name_index(arity, name))
-        else:
+        place.update((n, (a, _name_index(a, n))) for n, a in fresh.items()
+                     if a in self.countable_arities)
+        for arity in set(fresh.values()) - self.countable_arities:
             group = [n for n, a in symbols if a == arity]
             place.update((n, (arity, rank)) for rank, n in enumerate(group, 1))
         lang = object.__new__(RelationalLanguage)
@@ -122,10 +125,17 @@ class RelationalLanguage:
         object.__setattr__(lang, "_place", place)
         return lang
 
-    def with_countable_symbol(self, arity: int, index: int) -> "RelationalLanguage":
-        if arity not in self.countable_arities:
-            raise ValueError(f"arity {arity} is not countable in this language")
-        return self.with_symbol(countable_symbol_name(arity, index), arity)
+
+def _placed(items, fresh, key) -> list:
+    """The sorted ``items`` with each fresh one inserted in turn by ``bisect_right``."""
+    out = list(items)
+    for item in fresh:
+        k = key(item)
+        if out and k < key(out[-1]):
+            out.insert(bisect_right(out, k, key=key), item)
+        else:
+            out.append(item)
+    return out
 
 
 def make_language(*symbols: tuple[str, int],
@@ -146,8 +156,9 @@ def uniform_language(arity: int) -> RelationalLanguage:
 class EnumeratedStructure:
     """A finite structure on the vertex set ``{0, ..., size-1}``.
 
-    Relations are stored canonically: a sorted tuple of ``(name, tuples)``
-    with the tuples themselves sorted.  Hypergraph-flagged structures store
+    Relations are stored canonically: a tuple of ``(name, tuples)`` pairs in
+    the natural order of names (``e2`` before ``e10``), with the tuples
+    themselves sorted.  Hypergraph-flagged structures store
     each related vertex set once, as an increasing tuple.
     """
 
@@ -281,49 +292,44 @@ class _SupportIndex:
 
 
 def _derived(parent: EnumeratedStructure, language: RelationalLanguage,
-             added: dict[str, list[tuple[int, ...]]]) -> EnumeratedStructure:
-    """The trusted constructor for growth: the hypergraph ``parent`` plus one
-    new vertex, ``parent.size``, whose tuples ``added`` lists by name (each
-    list sorted and nonempty, ``language`` a superset of the parent's).
-
-    Only the new tuples are validated: the shared checks of ``_checked``,
-    then that each contains the new vertex.  Each merges into its name's
-    sorted tuples, a new name is placed by bisection on ``_natural_key``,
-    and the parent's support index is extended (the new tuples are the new
-    supports) instead of rebuilt.  The fields are set without running
-    ``__post_init__``; every structure from outside the library goes through
-    ``make_structure``, ``brt.io`` or the dataclass.
-    """
-    new, size = parent.size, parent.size + 1
-    for t in _checked(language, size, added.items(), True):
-        if t[-1] != new:
-            raise ValueError(f"tuple {t} does not contain the new vertex {new}")
+             grown: list[dict[str, list[tuple[int, ...]]]]) -> EnumeratedStructure:
+    """The trusted constructor for growth: the hypergraph ``parent`` plus a
+    vertex per entry of ``grown``, whose tuples it lists by name (each list
+    sorted and nonempty, ``language`` a superset of the parent's).  Only the
+    new tuples are checked, each vertex's as if it were the last, by
+    ``_checked`` and for containing the vertex.  The parent's index is copied
+    once and extended.  The fields are set without ``__post_init__``; other
+    structures go through ``make_structure``, ``brt.io`` or the dataclass."""
+    merged: dict[str, list] = {}
+    for new, added in enumerate(grown, parent.size):
+        for t in _checked(language, new + 1, added.items(), True):
+            if t[-1] != new:
+                raise ValueError(f"tuple {t} does not contain the new vertex {new}")
+        for name, tuples in added.items():
+            merged.setdefault(name, []).extend(tuples)
     old = parent._index
-    relations = list(parent.relations)
     index = object.__new__(_SupportIndex)
     index.patterns = dict(old.patterns)
-    index.by_size = dict(old.by_size)
-    fresh = []
-    for name, tuples in added.items():
+    relations, fresh, supports = list(parent.relations), [], {}
+    for name, tuples in merged.items():
         at = old.name_order.get(name)
         if at is None:
-            fresh.append((name, tuple(tuples)))
+            fresh.append((name, tuple(sorted(tuples))))
             pattern = ((name, tuple(range(len(tuples[0])))),)
         else:
             have = relations[at][1]
             relations[at] = (name, tuple(sorted(have + tuple(tuples))))
             # every support of a hypergraph symbol shares its one-pair pattern
             pattern = old.patterns[have[0]]
-        index.patterns.update((t, pattern) for t in tuples)
-        k = len(tuples[0])
-        index.by_size[k] = index.by_size.get(k, []) + list(tuples)
-    for item in fresh:
-        relations.insert(bisect_right(relations, _natural_key(item[0]),
-                                      key=lambda r: _natural_key(r[0])), item)
-    index.name_order = (old.name_order if not fresh else
-                        {name: i for i, (name, _) in enumerate(relations)})
+        index.patterns.update(dict.fromkeys(tuples, pattern))
+        supports.setdefault(len(tuples[0]), []).extend(tuples)
+    index.by_size = {**old.by_size, **{k: old.by_size.get(k, []) + tuples
+                                       for k, tuples in supports.items()}}
+    if fresh:
+        relations = _placed(relations, fresh, lambda r: _natural_key(r[0]))
+    index.name_order = {n: i for i, (n, _) in enumerate(relations)} if fresh else old.name_order
     out = object.__new__(EnumeratedStructure)
-    for field, value in (("language", language), ("size", size),
+    for field, value in (("language", language), ("size", parent.size + len(grown)),
                          ("relations", tuple(relations)), ("hypergraph", True),
                          ("_index", index)):
         object.__setattr__(out, field, value)
@@ -538,35 +544,36 @@ class GenericPrefix:
     def realized(self) -> set[tuple[tuple[int, ...], tuple]]:
         return {(base, choices) for base, choices, _ in self.log}
 
-    def _symbol_for(self, lang: RelationalLanguage, arity: int, idx: int
-                    ) -> tuple[str, RelationalLanguage]:
-        if arity in lang.countable_arities:
-            name = countable_symbol_name(arity, idx)
-            return name, lang.with_countable_symbol(arity, idx)
-        pool = lang.symbols_of_arity(arity)
-        if not 1 <= idx <= len(pool):
-            raise ValueError(f"no symbol #{idx} of arity {arity}")
-        return pool[idx - 1], lang
-
-    def realize(self, request: ExtensionRequest) -> "GenericPrefix":
-        """Append a fresh vertex realising the requested extension type."""
-        if any(not 0 <= v < self.size for v in request.base):
-            raise ValueError("extension base must be existing vertices")
-        lang, new = self.language, self.size
-        added: dict[str, set] = {}
-        for slot, idx in request.choices:
-            if idx == 0:
-                continue
-            name, lang = self._symbol_for(lang, len(slot) + 1, idx)
-            added.setdefault(name, set()).add(tuple(sorted(slot + (new,))))
-        added = {name: sorted(tuples) for name, tuples in added.items()}
-        candidate = _derived(self.structure, lang, added)
-        # the new tuples are the candidate's only supports at the new vertex
-        if self.forbidden and forbidden_sets(candidate, [t for ts in added.values() for t in ts],
-                                             self.forbidden):
+    def realize(self, *requests: ExtensionRequest) -> "GenericPrefix":
+        """Append a fresh vertex per request, in order, realising its extension
+        type; a base may name vertices of earlier requests.  Raises when one
+        request at a time would, with its message if one request fails."""
+        lang, fresh, grown, log = self.language, [], [], []
+        for new, request in enumerate(requests, self.size):
+            if any(not 0 <= v < new for v in request.base):
+                raise ValueError("extension base must be existing vertices")
+            added: dict[str, set] = {}
+            for slot, idx in request.choices:
+                if idx == 0:
+                    continue
+                arity = len(slot) + 1
+                if arity in lang.countable_arities:
+                    name = countable_symbol_name(arity, idx)
+                    fresh.append((name, arity))
+                else:
+                    pool = lang.symbols_of_arity(arity)
+                    if not 1 <= idx <= len(pool):
+                        raise ValueError(f"no symbol #{idx} of arity {arity}")
+                    name = pool[idx - 1]
+                added.setdefault(name, set()).add(tuple(sorted(slot + (new,))))
+            grown.append({name: sorted(tuples) for name, tuples in added.items()})
+            log.append((request.base, request.choices, new))
+        candidate = _derived(self.structure, lang.with_symbols(*fresh), grown)
+        # a covered forbidden member can only be induced on a new tuple
+        if self.forbidden and forbidden_sets(
+                candidate, [t for g in grown for ts in g.values() for t in ts], self.forbidden):
             raise ValueError("requested extension is not forbidden-family-free")
-        entry = (request.base, request.choices, self.size)
-        return replace(self, structure=candidate, log=self.log + (entry,))
+        return replace(self, structure=candidate, log=self.log + tuple(log))
 
     def slot_choice(self, slot: tuple[int, ...], v: int) -> int:
         """1-based symbol index relating ``slot + (v,)``, or 0 if unrelated.

@@ -116,7 +116,7 @@ def test_embedding_preserves_and_reflects_edges():
 
 
 def test_unary_languages_are_rejected():
-    lang = graph_language().with_symbol("u0", 1)
+    lang = graph_language().with_symbols(("u0", 1))
     s = make_structure(lang, 2, {}, hypergraph=True)
     with pytest.raises(ValueError):
         build_enveloping(s, 1)

@@ -120,7 +120,7 @@ def test_product_cap():
 
 
 def test_product_rejects_unary_base():
-    lang = graph_language().with_symbol("u0", 1)
+    lang = graph_language().with_symbols(("u0", 1))
     s = make_structure(lang, 2, {}, hypergraph=True)
     with pytest.raises(ValueError):
         unary_expand(s, 2)

@@ -14,6 +14,7 @@ from brt.structures import (
     EnumeratedStructure,
     _derived,
     ExtensionRequest,
+    countable_symbol_name,
     empty_prefix,
     enumerate_embeddings,
     forbidden_sets,
@@ -111,9 +112,8 @@ SEARCH_LANGUAGES = [
     make_language(("u", 1), ("w", 1)),
     uniform_language(3),
     make_language(("u", 1), ("e", 2), ("t", 3)),
-    make_language(countable_arities={1, 3}).with_countable_symbol(1, 2)
-    .with_countable_symbol(3, 1).with_countable_symbol(3, 4),
-    make_language(("e", 2), countable_arities={2}).with_countable_symbol(2, 5),
+    make_language(countable_arities={1, 3}).with_symbols(("u2", 1), ("r3c1", 3), ("r3c4", 3)),
+    make_language(("e", 2), countable_arities={2}).with_symbols(("r2c5", 2)),
 ]
 
 
@@ -409,14 +409,14 @@ def test_find_vertex_matches_scan_on_grown_prefixes(lang, seed, size):
 def test_colour_of_is_the_index_for_countable_arities_and_the_rank_otherwise():
     lang = make_language(("b", 2), ("a", 2), ("u", 1), ("t", 3), countable_arities={4})
     assert [lang.colour_of(n) for n in ("a", "b", "u", "t")] == [1, 2, 1, 1]
-    lang = lang.with_countable_symbol(4, 7).with_countable_symbol(4, 2)
+    lang = lang.with_symbols(("r4c7", 4), ("r4c2", 4))
     assert (lang.colour_of("r4c7"), lang.colour_of("r4c2")) == (7, 2)
     assert [lang.arity_of(n) for n in ("a", "u", "t", "r4c7")] == [2, 1, 3, 4]
     for lookup in (lang.colour_of, lang.arity_of):
         with pytest.raises(KeyError):
             lookup("missing")
     with pytest.raises(ValueError):
-        lang.with_symbol("q", 4).colour_of("q")
+        lang.with_symbols(("q", 4)).colour_of("q")
 
 
 def test_forbidden_family_blocks_realization():
@@ -485,9 +485,9 @@ def test_seeded_extension_mode_is_reproducible():
 def _forbidden_family(lang, rng):
     """Up to two covered hypergraphs of two or three vertices, over the
     language with two binary and one ternary countable symbol added."""
-    for arity, index in ((2, 1), (2, 3), (3, 1)):
-        if arity in lang.countable_arities:
-            lang = lang.with_countable_symbol(arity, index)
+    lang = lang.with_symbols(*((countable_symbol_name(arity, index), arity)
+                               for arity, index in ((2, 1), (2, 3), (3, 1))
+                               if arity in lang.countable_arities))
     sizes = [k for k in (2, 3) if lang.arity_count(k)]
     return tuple(random_covered_structure(lang, rng.choice(sizes), rng, True)
                  for _ in range(rng.randint(0, 2) if sizes else 0))
@@ -524,11 +524,13 @@ def _assert_same_prefix(got, want):
     assert s._index.name_order == t._index.name_order
 
 
+REBUILT_LANGUAGES = GROWN_LANGUAGES + (make_language(("e", 2), countable_arities={3}),
+                                      # names of one natural order: "e1" == "e01"
+                                      make_language(("e1", 2), ("e01", 2), ("t", 3)))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(GROWN_LANGUAGES + (make_language(("e", 2), countable_arities={3}),
-                                          # names of one natural order: "e1" == "e01"
-                                          make_language(("e1", 2), ("e01", 2), ("t", 3)))),
-       st.integers(0, 2 ** 32 - 1), st.integers(0, 9))
+@given(st.sampled_from(REBUILT_LANGUAGES), st.integers(0, 2 ** 32 - 1), st.integers(0, 9))
 def test_realize_matches_the_whole_rebuild(lang, seed, steps):
     """At every step of a random growth, in finite and countable languages,
     with and without a forbidden family: the same prefix, index and
@@ -550,22 +552,62 @@ def test_realize_matches_the_whole_rebuild(lang, seed, steps):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.sampled_from(REBUILT_LANGUAGES), st.integers(0, 2 ** 32 - 1), st.integers(0, 6),
+       st.integers(0, 6))
+def test_batch_realize_matches_the_fold(lang, seed, steps, batch):
+    """One ``realize`` call over a batch of requests against folding the
+    whole rebuild over them, from a randomly grown prefix, in finite and
+    countable languages, with and without a forbidden family.  A request's
+    base may name vertices of the batch, or now and then the vertex it
+    makes.  The same prefix, log, index and language, or both raise: with
+    the fold's message when the fold fails at the last request only."""
+    rng = random.Random(seed)
+    prefix = empty_prefix(lang, _forbidden_family(lang, rng))
+    for _ in range(steps):
+        try:
+            prefix = naive_realize(prefix, _random_request(prefix, rng))
+        except ValueError:
+            pass
+    requests, want, failed = [], prefix, None
+    for _ in range(batch):
+        request = _random_request(want, rng)
+        if rng.random() < 0.05:
+            request = ExtensionRequest.of(request.base + (want.size,), dict(request.choices))
+        requests.append(request)
+        if failed is None:
+            try:
+                want = naive_realize(want, request)
+            except ValueError as exc:
+                failed = (str(exc), len(requests))
+    if failed is None:
+        _assert_same_prefix(prefix.realize(*requests), want)
+        return
+    with pytest.raises(ValueError) as got:
+        prefix.realize(*requests)
+    if failed[1] == len(requests):
+        assert str(got.value) == failed[0]
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(("a", "b", "a10", "a9", "a01", "r2c5", "r2c10",
                                            "r2c05", "u3", "u12", "r3c2", "e")),
                           st.integers(1, 3)), max_size=8),
-       st.lists(st.tuples(st.sampled_from(("z", "a2", "a09", "r2c7", "r2c005", "u0", "r3c1",
-                                           "b")),
-                          st.integers(1, 3)), max_size=4),
+       st.lists(st.lists(st.tuples(st.sampled_from(("z", "a2", "a09", "r2c7", "r2c005", "u0",
+                                                    "r3c1", "b")),
+                                   st.integers(1, 3)), max_size=4), max_size=3),
        st.sets(st.integers(1, 3)))
-def test_with_symbol_matches_the_resort(symbols, added, countable):
-    """Placing a symbol by bisection gives the language, the order and the
-    colours of appending it and re-sorting everything."""
+def test_with_symbol_matches_the_resort(symbols, batches, countable):
+    """Placing several symbols per call by bisection gives the language, the
+    order and the colours of appending them one at a time and re-sorting
+    everything each time."""
     names = {}
     for name, arity in symbols:
         names.setdefault(name, arity)
     lang = make_language(*names.items(), countable_arities=countable)
-    for name, arity in added:
-        got, want = lang.with_symbol(name, arity), naive_with_symbol(lang, name, arity)
+    for batch in batches:
+        got, want = lang.with_symbols(*batch), lang
+        for name, arity in batch:
+            want = naive_with_symbol(want, name, arity)
         assert got == want and got.symbols == want.symbols
         assert got._place == want._place
         lang = got
@@ -583,11 +625,31 @@ def test_derived_validates_the_new_tuples(added, message):
     lang = make_language(("e", 2), ("f", 2), ("t", 3))
     parent = make_structure(lang, 2, {"e": [(0, 1)]}, hypergraph=True)
     with pytest.raises(ValueError) as exc:
-        _derived(parent, lang, added)
+        _derived(parent, lang, [added])
     assert str(exc.value) == message
-    grown = _derived(parent, lang, {"f": [(0, 2)], "t": [(0, 1, 2)]})
+    grown = _derived(parent, lang, [{"f": [(0, 2)], "t": [(0, 1, 2)]}])
     assert grown == make_structure(lang, 3, {"e": [(0, 1)], "f": [(0, 2)], "t": [(0, 1, 2)]},
                                    hypergraph=True)
+
+
+@pytest.mark.parametrize("grown,message", [
+    ([{"e": [(0, 3)]}, {"f": [(0, 3)]}], "tuple (0, 3) out of range"),
+    ([{"e": [(0, 2)]}, {"e": [(2, 4)]}], "tuple (2, 4) out of range"),
+    ([{"e": [(0, 2)]}, {"e": [(1, 2)]}], "tuple (1, 2) does not contain the new vertex 3"),
+    ([{"e": [(0, 2)]}, {"t": [(1, 2, 3)], "f": [(2, 3)], "e": [(2, 3)]}],
+     "vertex set (2, 3) in two relations of arity 2"),
+])
+def test_derived_checks_each_vertex_against_its_own_size(grown, message):
+    """Each vertex of a growth is validated as if it were the last one:
+    against the vertex set that ends at it, with its own new vertex."""
+    lang = make_language(("e", 2), ("f", 2), ("t", 3))
+    parent = make_structure(lang, 2, {"e": [(0, 1)]}, hypergraph=True)
+    with pytest.raises(ValueError) as exc:
+        _derived(parent, lang, grown)
+    assert str(exc.value) == message
+    grown = _derived(parent, lang, [{"f": [(0, 2)]}, {"e": [(2, 3)], "t": [(0, 1, 3)]}])
+    assert grown == make_structure(lang, 4, {"e": [(0, 1), (2, 3)], "f": [(0, 2)],
+                                             "t": [(0, 1, 3)]}, hypergraph=True)
 
 
 @pytest.mark.parametrize("added,message", [
