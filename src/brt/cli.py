@@ -3,8 +3,8 @@
 One invocation, one task: inputs are JSON files or flags, results go to
 stdout in canonical JSON (DOT or plain tables on request), diagnostics to
 stderr.  Exit codes: 0 success, 1 input error, 2 infeasible under the node
-cap (the message carries the cap and the estimate), 3 internal error (an
-invariant of the library failed; a bug, not bad input).
+cap (the message carries the cap and the estimate), 3 internal error (any
+other exception: a bug).  Every failure is one stderr line, never a traceback.
 """
 
 from __future__ import annotations
@@ -163,26 +163,20 @@ def cmd_encode(args) -> str:
 
 
 def cmd_decode(args) -> str:
-    if args.language is None:
-        raise ValueError("decode needs --language")
     lang = bio.language_from_json(_load(args.language))
     out = decode_structure(_structure(args.infile), lang)
     return bio.dumps_canonical(bio.structure_to_json(out))
 
 
 def cmd_unaries(args) -> str:
-    if args.countable == (args.count is not None):
+    if args.count is None and not args.countable:
         raise ValueError("unaries needs exactly one of --count and --countable")
-    base = _structure(args.infile)
-    u = None if args.countable else args.count
-    product = unary_expand(base, u, size_cap=args.cap)
+    product = unary_expand(_structure(args.infile), args.count, cap=args.cap)
     return bio.dumps_canonical({"pairs": [list(p) for p in product.pairs],
                                 "structure": bio.structure_to_json(product.structure)})
 
 
 def cmd_strip(args) -> str:
-    if args.forbidden is None:
-        raise ValueError("strip needs --forbidden")
     m = _structure(args.infile)
     family = tuple(bio.structure_from_json(o)
                    for o in bio._typed(_load(args.forbidden), list, "a forbidden family"))
@@ -349,15 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="infile", required=True)
     s = leaf(reduce, "decode", cmd_decode, "structure of an encoded hypergraph")
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--language", default=None)
+    s.add_argument("--language", required=True)
     s = leaf(reduce, "unaries", cmd_unaries, "product with unary colours", cap=True,
              naturals=("count",))
+    s.modes = {"countable": ("count",)}
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--count", type=int, default=None)
     s.add_argument("--countable", action="store_true")
     s = leaf(reduce, "strip", cmd_strip, "drop the tuples over forbidden members")
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--forbidden", default=None)
+    s.add_argument("--forbidden", required=True)
 
     adversarial = sub.add_parser("adversarial", help="adversarial colourings").add_subparsers(
         dest="action", required=True)
@@ -408,10 +403,11 @@ def main(argv=None) -> int:
             {"error": "infeasible", "what": exc.what,
              "cap": exc.cap, "estimate": exc.estimate}))
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    # Input lookups raise ValueErrors, so a bare KeyError is a bug: exit 3.
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"brt: error: {exc}\n")
         return 1
-    except (RuntimeError, AssertionError) as exc:
+    except Exception as exc:
         sys.stderr.write(f"brt: internal error: {exc}\n")
         return 3
     return 0

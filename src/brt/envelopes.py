@@ -442,7 +442,7 @@ def degree_upper_bound(a: EnumeratedStructure, height: int, sig: Signature,
     rels: dict[str, list] = {}
     for name, tuples in a.relations:
         arity, colour = a.language.arity_of(name), a.language.colour_of(name)
-        if arity < 2 or colour > sig[arity - 1] - 2:
+        if arity < 2 or not 1 <= colour <= sig[arity - 1] - 2:
             raise ValueError(f"symbol {name} does not fit the signature")
         rels[countable_symbol_name(arity, colour)] = list(tuples)
     relabelled = make_structure(lang, a.size, rels, hypergraph=True)

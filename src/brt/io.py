@@ -9,6 +9,7 @@ from .trees import ExplicitCoordinate, StrongSubtreeWitness, coordinate_nodes, i
 from .valuation import Signature, ValuationFunction, make_valuation
 
 SCHEMA = "brt-structure/1"
+_NOT_INTS = "{} must be integers separated by commas, got {}"
 
 
 def dumps_canonical(obj) -> str:
@@ -95,16 +96,17 @@ def parse_ints(text: str, option: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(",")) if text.strip() else ()
     except ValueError:
-        raise ValueError(f"{option} must be integers separated by commas, got {text}") from None
+        raise ValueError(_NOT_INTS.format(option, text)) from None
 
 
 def parse_signature(text: str) -> Signature:
     """Parse ``--sigma``: ``"3"``, ``"2,3"`` or ``"2,3:1"`` (prefix entries, colon tail)."""
-    tail = 1
-    if ":" in text:
-        text, tail_s = text.split(":", 1)
-        tail = int(tail_s)
-    return Signature(parse_ints(text, "--sigma"), tail)
+    prefix, colon, tail = text.partition(":")
+    try:
+        tail_n = int(tail) if colon else 1
+    except ValueError:
+        raise ValueError(_NOT_INTS.format("--sigma", text)) from None
+    return Signature(parse_ints(prefix, "--sigma"), tail_n)
 
 
 def valuation_to_json(f: ValuationFunction) -> dict:

@@ -23,6 +23,7 @@ from .structures import (
     is_covered,
     make_structure,
 )
+from .trees import DEFAULT_CAP
 
 
 # --- unary product -------------------------------------------------------------
@@ -59,12 +60,12 @@ def _product_pairs(size: int, u: int | None) -> list[tuple[int, int]]:
 
 
 def unary_expand(base: EnumeratedStructure, u: int | None,
-                 size_cap: int = 10_000) -> UnaryProduct:
+                 cap: int = DEFAULT_CAP) -> UnaryProduct:
     """Build the unary product of a unary-free base (``u=None`` = countable)."""
     if base.language.arity_count(1) or base.language.countable_unaries:
         raise ValueError("the base structure must be unary-free")
     pairs = _product_pairs(base.size, u)
-    check_size(len(pairs), size_cap, "unary product")
+    check_size(len(pairs), cap, "unary product")
     index = {p: i for i, p in enumerate(pairs)}
     max_unary = max((i for _, i in pairs), default=-1)
     lang = base.language.with_symbols(*((countable_symbol_name(1, i), 1)

@@ -104,11 +104,14 @@ def test_degree_examples(files, capsys):
     ("r2c5", "symbol r2c5 does not fit the signature"),
     ("e", "symbol e of countable arity 2 is not named by an index"),
     ("r2c05", "symbol r2c05 of countable arity 2 is not named by an index"),
+    ("r2c0", "symbol r2c0 does not fit the signature"),
 ])
 def test_degree_reads_a_countable_symbol_by_its_index(files, tmp_path, capsys, name, error):
     """A countable arity codes colours by the index in the symbol's name, not
     by its rank: ``r2c5`` alone is colour 5, which a bound of 3 cannot hold,
-    and a name that is no symbol index is an input error."""
+    and a name that is no symbol index is an input error.  Colour 0 is no
+    relation of the tree: ``r2c0`` used to be refused as a symbol missing
+    from the tree's language."""
     lang = make_language((name, 2), countable_arities={2})
     s = make_structure(lang, 2, {name: [(0, 1)]}, hypergraph=True)
     p = tmp_path / "countable.json"
@@ -962,23 +965,59 @@ def test_reduce_strip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("decode",), "decode needs --language"),
-    (("strip",), "strip needs --forbidden"),
+    (("decode", "--language", ""), "[Errno 2] No such file or directory: ''"),
+    (("strip", "--forbidden", ""), "[Errno 2] No such file or directory: ''"),
     (("unaries", "--count", "-1"), "--count must be a natural number, got -1"),
-    (("unaries", "--count", "-1", "--countable"), "--count must be a natural number, got -1"),
 ])
 def test_reduce_bad_input_exits_one(files, capsys, argv, message):
-    """Each used to raise a traceback (no ``--language`` or ``--forbidden``)
-    or to exit 0 with an empty product (a negative count)."""
+    """An empty ``--language`` or ``--forbidden`` names a file, not a missing
+    option.  A negative count used to exit 0 with an empty product."""
     _one_line_error(*run(capsys, "reduce", *argv, "--in", files["path3"]), message)
 
 
-@pytest.mark.parametrize("flags", [(), ("--count", "2", "--countable")])
+@pytest.mark.parametrize("flags", [()])
 def test_reduce_unaries_needs_exactly_one_of_count_and_countable(files, capsys, flags):
     """Without ``--count`` the product used to be countable whether or not
-    ``--countable`` was given, and with both ``--countable`` was dropped."""
+    ``--countable`` was given.  Both options are a usage error, in
+    ``test_a_missing_or_clashing_reduce_option_exits_one_with_usage``."""
     _one_line_error(*run(capsys, "reduce", "unaries", "--in", files["path3"], *flags),
                     "unaries needs exactly one of --count and --countable")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("decode",), "the following arguments are required: --language"),
+    (("strip",), "the following arguments are required: --forbidden"),
+    (("unaries", "--count", "2", "--countable"), "--countable does not read --count"),
+    (("unaries", "--count", "-1", "--countable"), "--countable does not read --count"),
+])
+def test_a_missing_or_clashing_reduce_option_exits_one_with_usage(files, capsys, argv, error):
+    """A required option is declared so, and ``--countable`` is a mode that
+    does not read ``--count``: the leaf's parser refuses each, before any
+    option value is checked.  Each used to be one ``brt: error:`` line
+    without a usage line: ``decode needs --language``, ``strip needs
+    --forbidden``, ``unaries needs exactly one of --count and --countable``
+    and ``--count must be a natural number, got -1``."""
+    code, out, err = run(capsys, "reduce", *argv, "--in", files["path3"])
+    prog = f"brt reduce {argv[0]}"
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: {prog} [-h]") and err.endswith(f"\n{prog}: error: {error}\n")
+    assert err.count(": error: ") == 1
+
+
+@pytest.mark.parametrize("exc", [KeyError(5), IndexError("tuple index out of range"),
+                                 TypeError("'NoneType' object is not subscriptable")])
+def test_any_other_exception_exits_three_in_one_line(capsys, monkeypatch, exc):
+    """``main`` maps every exception: one that is neither an input error nor
+    infeasible is a bug, exit 3 and one line.  A bare ``KeyError`` used to
+    be read as bad input (exit 1, ``brt: error: 5``), and an ``IndexError``
+    or a ``TypeError`` printed a traceback."""
+    def broken(node):
+        raise exc
+
+    monkeypatch.setattr(cli.adv, "seq_colour", broken)
+    code, out, err = run(capsys, "adversarial", "hl", "--node", "3")
+    assert (code, out) == (3, "")
+    assert err == f"brt: internal error: {exc}\n" and "Traceback" not in err
 
 
 @pytest.mark.parametrize("subset,vertex", [("0,5", 5), ("-1,0", -1)])
@@ -1077,6 +1116,9 @@ def _cli_inputs() -> dict:
         "list.json": "[1, 2]",
         "no_size.json": {k: v for k, v in path3.items() if k != "size"},
         "out_of_range.json": {**path3, "relations": {"e": [[0, 5]]}},
+        "countable_r2c0.json": bio.structure_to_json(make_structure(
+            make_language(("r2c0", 2), countable_arities={2}), 2, {"r2c0": [(0, 1)]},
+            hypergraph=True)),
     }
     for name, flag in (("true", True), ("false", False), ("false_string", "false"),
                        ("zero", 0), ("null", None)):
@@ -1111,7 +1153,7 @@ def test_cli_bytes_match_the_golden_digests(tmp_path, capsys, monkeypatch):
 
 # Boundary values of each kind of option value, for the fuzz test.
 _COUNTS = ["0", "-1", "1", "3", "x", ""]
-_SIGNATURES = ["3", "2,3", "1:3", "0", "", "1,,2", "0,1,"]
+_SIGNATURES = ["3", "2,3", "1:3", "0", "", "1,,2", "0,1,", "3:", "3:x", "3:1,2"]
 _LISTS = ["0,1", "1,0", "-1", "", "1,,2", "0,1,"]
 _LIST_OPTIONS = {"levels", "subset", "node"}
 _FUZZ_FILES = ["path3.json", "graph_lang.json", "witness.json", "map.json", "truncated.json",

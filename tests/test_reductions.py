@@ -116,7 +116,7 @@ def test_transversal_projection_is_base_embedding():
 
 def test_product_cap():
     with pytest.raises(InfeasibleError):
-        unary_expand(base3(), None, size_cap=3)
+        unary_expand(base3(), None, cap=3)
 
 
 def test_product_rejects_unary_base():
